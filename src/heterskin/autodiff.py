@@ -41,10 +41,6 @@ class Tensor:
         return f"Tensor{tag}(shape={self.value.shape})"
 
 
-def constant(value, name=None) -> Tensor:
-    return Tensor(value, name=name)
-
-
 def _make(value, parents, backward_fn, op) -> Tensor:
     return Tensor(_check_finite(np.asarray(value, dtype=np.float64), op),
                   parents, backward_fn)
@@ -147,12 +143,10 @@ def segment_max(a: Tensor, idx, num: int) -> Tensor:
     np.maximum.at(out, idx, a.value)
     out[counts == 0] = 0.0
     # first row (in input order) attaining the max, per segment and column
-    winner = np.full((num, f), -1, dtype=np.int64)
     hit = a.value == out[idx]
     rows = np.broadcast_to(np.arange(len(idx))[:, None], hit.shape)
-    sentinel = np.full((num, f), len(idx), dtype=np.int64)
-    np.minimum.at(sentinel, idx, np.where(hit, rows, len(idx)))
-    winner = sentinel
+    winner = np.full((num, f), len(idx), dtype=np.int64)
+    np.minimum.at(winner, idx, np.where(hit, rows, len(idx)))
 
     def bw(g):
         out_g = np.zeros_like(a.value)

@@ -36,10 +36,6 @@ class HeterGraph:
     def k(self) -> int:
         return self.topk.shape[1]
 
-    def influenced_index(self) -> np.ndarray:
-        """Flat (N*K,) bone index per (vertex, slot) pair; groups I(b_j)."""
-        return self.topk.reshape(-1)
-
 
 def topk_bones(d: np.ndarray, k: int) -> np.ndarray:
     """Indices of the K nearest bones per vertex, ascending distance,

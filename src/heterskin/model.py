@@ -9,6 +9,7 @@ row softmax emits K convex weights per vertex (one per Top-K bone).
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from itertools import zip_longest
 
 import json
 import numpy as np
@@ -17,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .hgraph import HeterGraph, build_graph
 from .hollowdist import compute_all, euclidean_all
-from .rigcore import Rig, WeightRows, merge_rig
+from .rigcore import Rig, RigError, WeightRows, merge_rig
 from .voxelize import voxelize_mesh
 
 KL_EPS = 1e-8  # floor for ground-truth mass inside the KL term
@@ -360,27 +361,63 @@ def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams,
 # checkpoints
 
 
+CHECKPOINT_MAGIC = b"heterskin checkpoint v1\n"
+_F64 = np.dtype("<f8")
+
+
 def save_checkpoint(params: dict[str, Tensor], h: HyperParams, path) -> None:
-    doc = {
-        "hyper": asdict(h),
-        "params": {
-            name: {"shape": list(t.value.shape), "data": t.value.reshape(-1).tolist()}
-            for name, t in params.items()
-        },
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    """Write a binary checkpoint in three parts:
+
+    1. the magic line ``CHECKPOINT_MAGIC``;
+    2. a one-line JSON header ``{"hyper": asdict(h), "params": [[name,
+       shape], ...]}`` listing the parameters in ``params`` order;
+    3. each parameter's values in that order, C-order little-endian float64,
+       with nothing between or after them.
+
+    The file holds no timestamp or other run state, so saving the same
+    parameters and hyperparameters twice gives identical bytes.
+    """
+    header = {"hyper": asdict(h),
+              "params": [[name, list(t.value.shape)] for name, t in params.items()]}
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(json.dumps(header).encode() + b"\n")
+        for t in params.values():
+            f.write(np.ascontiguousarray(t.value, dtype=_F64))
 
 
 def load_checkpoint(path) -> tuple[dict[str, Tensor], HyperParams]:
-    with open(path) as f:
-        doc = json.load(f)
-    hyper_doc = dict(doc["hyper"])
-    hyper_doc["final_dims"] = tuple(hyper_doc["final_dims"])
-    h = HyperParams(**hyper_doc)
-    params = {}
-    for name, entry in doc["params"].items():
-        params[name] = Tensor(
-            np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"]), name=name)
+    """Read a checkpoint written by `save_checkpoint` into fresh, writable
+    float64 arrays.
+
+    Raises `RigError` when the magic line is wrong (JSON checkpoints of
+    earlier versions included), when the header does not parse or holds
+    invalid `HyperParams`, when the parameter names, order or shapes differ
+    from what those hyperparameters define, and when the file is shorter or
+    longer than the header says.
+    """
+    with open(path, "rb") as f:
+        if f.readline(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise RigError(f"{path}: not a heterskin checkpoint (wrong magic line)")
+        try:
+            header = json.loads(f.readline())
+            hyper = dict(header["hyper"])
+            hyper["final_dims"] = tuple(hyper["final_dims"])
+            h = HyperParams(**hyper)
+            layout = [(name, tuple(shape)) for name, shape in header["params"]]
+        except (ValueError, KeyError, TypeError) as e:
+            raise RigError(f"{path}: bad checkpoint header: {e}") from e
+        expected = list(_param_shapes(h).items())
+        for got, want in zip_longest(layout, expected):
+            if got != want:
+                raise RigError(f"{path}: checkpoint lists parameter {got} where its "
+                               f"hyperparameters define {want}")
+        params = {}
+        for name, shape in layout:
+            value = np.empty(shape, dtype=_F64)
+            if f.readinto(value) != value.nbytes:
+                raise RigError(f"{path}: file ends inside parameter {name!r}")
+            params[name] = Tensor(value, name=name)
+        if f.read(1):
+            raise RigError(f"{path}: trailing bytes after the last parameter")
     return params, h

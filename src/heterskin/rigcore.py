@@ -14,7 +14,8 @@ from scipy.spatial import cKDTree
 
 
 class RigError(ValueError):
-    """Raised for schema violations and invariant failures in rig data."""
+    """Raised for schema violations and invariant failures in rig data and
+    model checkpoints."""
 
 
 @dataclass(frozen=True)
@@ -295,6 +296,12 @@ def load_rig(path) -> Rig:
     mesh = Mesh(np.asarray(doc["vertices"], dtype=np.float64).reshape(-1, 3),
                 np.asarray(doc["triangles"], dtype=np.int64).reshape(-1, 3))
     joints = doc["joints"]
+    for i, j in enumerate(joints):
+        if not isinstance(j, dict):
+            raise RigError(f"{path}: joint {i} is not an object")
+        for key in ("name", "position", "parent"):
+            if key not in j:
+                raise RigError(f"{path}: joint {i} is missing field {key!r}")
     skel = Skeleton.build(
         [j["name"] for j in joints],
         [j["position"] for j in joints],

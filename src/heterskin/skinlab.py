@@ -207,15 +207,6 @@ def evaluate(rig: Rig, pred: WeightRows, gt: WeightRows, poses: list[Pose],
     return EvalReport(p, r, l1_norm(pred, gt), distance_error(rig, pred, gt, poses))
 
 
-def aggregate(reports: list[EvalReport]) -> EvalReport:
-    return EvalReport(
-        float(np.mean([r.precision for r in reports])),
-        float(np.mean([r.recall for r in reports])),
-        float(np.mean([r.l1_norm for r in reports])),
-        float(np.mean([r.dist_err for r in reports])),
-    )
-
-
 def topk_coverage(pairs: list[tuple[WeightRows, np.ndarray]], k_max: int,
                   tau: float = INFLUENCE_TAU) -> tuple[np.ndarray, np.ndarray]:
     """Coverage curves over K = 1..k_max for (ground truth, distance

@@ -152,6 +152,7 @@ def test_criterion_02_open_grid_manhattan():
     assert time.monotonic() - start < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_03_restart_coverage_at_full_resolution():
     start = time.monotonic()
     cfg = synthgen.SynthConfig(
@@ -271,6 +272,7 @@ def test_criterion_06_overfit_sanity():
     assert time.monotonic() - start < 600.0
 
 
+@pytest.mark.slow
 def test_criterion_07_generalization_beats_baseline(study):
     wins = sum(1 for row in study if row["model_l1"] <= row["base_l1"])
     detail = ", ".join(
@@ -280,6 +282,7 @@ def test_criterion_07_generalization_beats_baseline(study):
     assert wins >= 4, detail
 
 
+@pytest.mark.slow
 def test_criterion_08_hollow_beats_euclidean(study):
     wins = sum(1 for row in study if row["model_l1"] <= row["euclid_l1"])
     detail = ", ".join(
@@ -289,6 +292,7 @@ def test_criterion_08_hollow_beats_euclidean(study):
     assert wins >= 4, detail
 
 
+@pytest.mark.slow
 def test_criterion_09_smoothing_lowers_laplacian_energy(study):
     wins = sum(1 for row in study if row["smooth_energy"] <= row["nosmooth_energy"])
     detail = ", ".join(

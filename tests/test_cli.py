@@ -56,7 +56,7 @@ class TestVoxelizeGraph:
 
 class TestPipeline:
     def test_train_predict_eval_deform(self, data_dir, tmp_path):
-        model_path = tmp_path / "model.json"
+        model_path = tmp_path / "model.ckpt"
         assert run(["train", "--data", str(data_dir), "--epochs", "2", "--lr", "1e-3",
                     "--seed", "0", "--out", str(model_path), *FAST_TRAIN]) == 0
 
@@ -121,3 +121,17 @@ class TestErrors:
         }))
         code = run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("joint, message", [
+        ({"name": "j2", "position": [0, 0, 0]}, "joint 2 is missing field 'parent'"),
+        (7, "joint 2 is not an object"),
+    ])
+    def test_malformed_joint_validation_error(self, data_dir, tmp_path, capsys,
+                                              joint, message):
+        doc = json.loads((data_dir / "rig_00000.json").read_text())
+        doc["joints"][2] = joint
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err

@@ -1,12 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import heterskin.autodiff as ad
-from heterskin import model, synthgen
+from heterskin import cli, model, synthgen
 from heterskin.autodiff import Tensor
-from heterskin.rigcore import WeightRows
+from heterskin.rigcore import RigError, WeightRows, save_rig
 
 from oracles import finite_difference, max_relative_error
 
@@ -314,11 +315,85 @@ class TestPredict:
 
 
 class TestCheckpoint:
+    @staticmethod
+    def _saved(tmp_path, h):
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(model.init_params(h, seed=8), h, path)
+        return path
+
     def test_round_trip(self, tmp_path, tiny_hyper):
         params = model.init_params(tiny_hyper, seed=8)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save_checkpoint(params, tiny_hyper, path)
         loaded_params, loaded_hyper = model.load_checkpoint(path)
         assert loaded_hyper == tiny_hyper
         for name in params:
             assert np.array_equal(loaded_params[name].value, params[name].value)
+
+    def test_same_params_same_bytes(self, tmp_path, tiny_hyper):
+        params = model.init_params(tiny_hyper, seed=8)
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        model.save_checkpoint(params, tiny_hyper, a)
+        model.save_checkpoint(params, tiny_hyper, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_loaded_arrays_train(self, tmp_path, small_sample, tiny_hyper):
+        params, h = model.load_checkpoint(self._saved(tmp_path, tiny_hyper))
+        for t in params.values():
+            assert t.value.dtype == np.float64
+            assert t.value.flags.c_contiguous and t.value.flags.writeable
+        before = {name: t.value.copy() for name, t in params.items()}
+        pred = model.forward(small_sample.graph, params, h)
+        step_loss = model.loss(pred, small_sample.gt_topk, small_sample.graph.topk,
+                               small_sample.graph.laplacian, h.lambda_smooth)
+        ad.adam_step(params, ad.backward(step_loss, params), ad.AdamState(), lr=1e-3)
+        assert any(not np.array_equal(before[name], t.value) for name, t in params.items())
+
+    def test_truncated_file_rejected(self, tmp_path, tiny_hyper):
+        path = self._saved(tmp_path, tiny_hyper)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(RigError, match="ends inside"):
+            model.load_checkpoint(path)
+
+    def test_trailing_byte_rejected(self, tmp_path, tiny_hyper):
+        path = self._saved(tmp_path, tiny_hyper)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(RigError, match="trailing"):
+            model.load_checkpoint(path)
+
+    def test_json_checkpoint_rejected(self, tmp_path, tiny_hyper):
+        params = model.init_params(tiny_hyper, seed=8)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "hyper": dataclasses.asdict(tiny_hyper),
+            "params": {name: {"shape": list(t.value.shape),
+                              "data": t.value.reshape(-1).tolist()}
+                       for name, t in params.items()},
+        }) + "\n")
+        with pytest.raises(RigError, match="magic"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new, match", [
+        # a shape that disagrees with the hyperparameters
+        (b'["mesh0.ring", [48, 24]]', b'["mesh0.ring", [48, 25]]', "mesh0.ring"),
+        # a hyperparameter that disagrees with the listed shapes
+        (b'"local_stages": 2', b'"local_stages": 1', "stage1"),
+        # hyperparameters HyperParams rejects
+        (b'"distance_mode": "hollow"', b'"distance_mode": "manhattan"', "header"),
+    ])
+    def test_header_disagreeing_with_hyper_rejected(self, tmp_path, tiny_hyper,
+                                                    old, new, match):
+        path = self._saved(tmp_path, tiny_hyper)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        assert old in header
+        path.write_bytes(magic + b"\n" + header.replace(old, new) + b"\n" + body)
+        with pytest.raises(RigError, match=match):
+            model.load_checkpoint(path)
+
+    def test_cli_predict_bad_model_exits_1(self, tmp_path, small_rig, tiny_hyper):
+        rig = tmp_path / "rig.json"
+        save_rig(small_rig, rig)
+        path = self._saved(tmp_path, tiny_hyper)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert cli.main(["predict", "--model", str(path), "--rig", str(rig),
+                         "--out", str(tmp_path / "w.json")]) == 1

@@ -299,7 +299,7 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (rigcore.RigError, ValueError) as e:
+    except (rigcore.RigError, ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

@@ -119,15 +119,11 @@ def _directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _neighbor_edges(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Directed (center, neighbor) edges from per-node lists, with
     self-loops for empty lists."""
-    src, dst = [], []
-    for i, nb in enumerate(neighbors):
-        if len(nb):
-            src.append(np.full(len(nb), i, dtype=np.int64))
-            dst.append(nb)
-        else:
-            src.append(np.asarray([i], dtype=np.int64))
-            dst.append(np.asarray([i], dtype=np.int64))
-    return np.concatenate(src), np.concatenate(dst)
+    lens = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
+    src = np.repeat(np.arange(len(neighbors), dtype=np.int64), np.maximum(lens, 1))
+    dst = src.copy()
+    dst[lens[src] > 0] = np.concatenate(neighbors)
+    return src, dst
 
 
 def edge_conv(f: Tensor, src: np.ndarray, dst: np.ndarray, w: Tensor,

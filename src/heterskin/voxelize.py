@@ -1,8 +1,14 @@
 """Cubic voxel grid: conservative surface marking and bone rasterization.
 
-Mesh cells are found with a separating-axis triangle/box overlap test over
-closed boxes, so boundary contact counts and thin features are never
-missed.  Bone segments are rasterized by incremental grid traversal.
+Mesh cells are found with a separating-axis triangle/box overlap test
+(Akenine-Moller 2001) over closed boxes, so boundary contact counts and
+thin features are never missed.  The test runs batched: every triangle's
+candidate cells (its bounding box clipped to the inner region) are
+numbered as (triangle, cell) pairs and processed in chunks of
+CHUNK_PAIRS.  Each chunk runs the triangle-plane test first, the cheapest
+and most selective, then the box-face and the nine edge-axis tests on the
+pairs that survive it.  Bone segments are rasterized by incremental grid
+traversal.
 """
 from __future__ import annotations
 
@@ -14,6 +20,7 @@ from .rigcore import Mesh
 
 HOLLOW = 0
 MESH = 1
+CHUNK_PAIRS = 8192  # (triangle, cell) pairs per SAT pass; bounds the temporaries
 
 
 @dataclass
@@ -66,42 +73,6 @@ def build_grid(mesh: Mesh, resolution: int = 88) -> VoxelGrid:
     return VoxelGrid(origin, s, resolution, labels)
 
 
-def _tri_box_overlap(centers: np.ndarray, half: float, tri: np.ndarray) -> np.ndarray:
-    """Vectorized closed-box SAT test of one triangle against many boxes.
-
-    centers: (C, 3) box centers, half: half side, tri: (3, 3).
-    Returns a (C,) bool mask; touching counts as overlap.
-    """
-    v = tri[None, :, :] - centers[:, None, :]  # (C, 3, 3)
-    slack = half * 1e-9  # absorb last-ulp jitter; extra marking stays conservative
-    # box face axes
-    lo = v.min(axis=1)
-    hi = v.max(axis=1)
-    ok = np.all((hi >= -half - slack) & (lo <= half + slack), axis=1)
-    if not ok.any():
-        return ok
-    e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
-    # triangle plane
-    n = np.cross(e[0], e[1])
-    d = v[:, 0, :] @ n
-    r = half * np.abs(n).sum()
-    ok &= np.abs(d) <= r + slack * np.abs(n).sum()
-    if not ok.any():
-        return ok
-    # 9 edge cross-product axes
-    for i in range(3):
-        for j in range(3):
-            axis = np.zeros(3)
-            axis[j] = 1.0
-            a = np.cross(e[i], axis)
-            if not a.any():
-                continue
-            p = v @ a  # (C, 3)
-            ra = (half + slack) * np.abs(a).sum()
-            ok &= (p.min(axis=1) <= ra) & (p.max(axis=1) >= -ra)
-    return ok
-
-
 def voxelize_surface(mesh: Mesh, grid: VoxelGrid) -> np.ndarray:
     """Label every cell whose closed box overlaps at least one triangle.
 
@@ -112,21 +83,47 @@ def voxelize_surface(mesh: Mesh, grid: VoxelGrid) -> np.ndarray:
     r = grid.resolution
     labels = np.zeros((r,) * 3, dtype=np.uint8)
     half = grid.cell_size / 2
-    for tri_idx in mesh.triangles:
-        tri = mesh.vertices[tri_idx]
-        lo = np.floor((tri.min(axis=0) - grid.origin) / grid.cell_size).astype(np.int64)
-        hi = np.floor((tri.max(axis=0) - grid.origin) / grid.cell_size).astype(np.int64)
-        lo = np.clip(lo, 1, r - 2)
-        hi = np.clip(hi, 1, r - 2)
-        xs, ys, zs = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
-        cells = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-        sub = labels[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
-        if sub.all():
-            continue
-        centers = grid.center_of(cells)
-        mask = _tri_box_overlap(centers, half, tri)
-        hit = cells[mask]
-        labels[hit[:, 0], hit[:, 1], hit[:, 2]] = MESH
+    slack = half * 1e-9  # absorb last-ulp jitter; extra marking stays conservative
+    # coordinate-major, so take() along the last axis gives contiguous rows
+    tris = mesh.vertices[mesh.triangles].T  # (3, 3 vertices, T)
+    lo = np.floor((tris.min(axis=1) - grid.origin[:, None]) / grid.cell_size).astype(np.int64)
+    hi = np.floor((tris.max(axis=1) - grid.origin[:, None]) / grid.cell_size).astype(np.int64)
+    lo = np.clip(lo, 1, r - 2)
+    dims = np.clip(hi, 1, r - 2) - lo + 1  # candidate box extent per triangle
+    counts = dims.prod(axis=0)
+    ends = np.cumsum(counts)  # pairs are numbered triangle by triangle
+    starts = ends - counts
+    e = tris[:, [1, 2, 0]] - tris  # edges v1-v0, v2-v1, v0-v2
+    n = e[[1, 2, 0], 0] * e[[2, 0, 1], 1] - e[[2, 0, 1], 0] * e[[1, 2, 0], 1]  # e0 x e1
+    n_l1 = np.abs(n).sum(axis=0)
+    plane_r = half * n_l1 + slack * n_l1
+    # edge axis e_i x unit_j is zero at j and holds e_i[k], -e_i[m] at m, k
+    axes = ((1, 2), (2, 0), (0, 1))
+    e_abs = np.abs(e)
+    axis_r = (half + slack) * (e_abs[[1, 2, 0]] + e_abs[[2, 0, 1]])  # (j, i, T)
+    total = int(counts.sum())
+    for first in range(0, total, CHUNK_PAIRS):
+        pair = np.arange(first, min(first + CHUNK_PAIRS, total))
+        t = np.searchsorted(ends, pair, side="right")
+        ox, rest = np.divmod(pair - starts[t], dims[1, t] * dims[2, t])
+        oy, oz = np.divmod(rest, dims[2, t])
+        cells = lo.take(t, axis=1) + np.stack([ox, oy, oz])  # (3, K)
+        centers = grid.origin[:, None] + (cells + 0.5) * grid.cell_size
+        # triangle plane first: cheapest and most selective
+        d = np.einsum("ck,ck->k", tris[:, 0].take(t, axis=1) - centers, n.take(t, axis=1))
+        keep = np.flatnonzero(np.abs(d) <= plane_r[t])
+        t, cells, centers = t[keep], cells.take(keep, axis=1), centers.take(keep, axis=1)
+        v = tris.take(t, axis=2) - centers[:, None, :]  # (3, 3 vertices, K)
+        # box face axes
+        ok = np.all((v.max(axis=1) >= -half - slack) & (v.min(axis=1) <= half + slack), axis=0)
+        # 9 edge axes, each a two-term product
+        et, rt = e.take(t, axis=2), axis_r.take(t, axis=2)
+        for j, (m, k) in enumerate(axes):
+            for i in range(3):
+                p = v[m] * et[k, i] - v[k] * et[m, i]  # (3 vertices, K)
+                ok &= (p.min(axis=0) <= rt[j, i]) & (p.max(axis=0) >= -rt[j, i])
+        hit = cells[:, ok]
+        labels[hit[0], hit[1], hit[2]] = MESH
     grid.labels = labels
     return labels
 

@@ -109,7 +109,22 @@ class TestErrors:
     def test_missing_rig_file(self, tmp_path):
         code = run(["voxelize", "--rig", str(tmp_path / "nope.json"),
                     "--out", str(tmp_path / "g.json")])
-        assert code != 0
+        assert code == 1
+
+    def test_missing_model_file(self, data_dir, tmp_path, capsys):
+        code = run(["predict", "--model", str(tmp_path / "nope.ckpt"),
+                    "--rig", str(data_dir / "rig_00000.json"),
+                    "--out", str(tmp_path / "w.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.ckpt" in err
+
+    def test_missing_data_dir(self, tmp_path, capsys):
+        code = run(["train", "--data", str(tmp_path / "nope"), "--epochs", "1",
+                    "--out", str(tmp_path / "m.ckpt"), *FAST_TRAIN])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope" in err
 
     def test_malformed_rig_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -75,6 +75,39 @@ class TestSkeletonConv:
         assert np.array_equal(out1.value, out2.value)
 
 
+def _loop_neighbor_edges(neighbors):
+    src, dst = [], []
+    for i, nb in enumerate(neighbors):
+        if len(nb):
+            src.append(np.full(len(nb), i, dtype=np.int64))
+            dst.append(nb)
+        else:
+            src.append(np.asarray([i], dtype=np.int64))
+            dst.append(np.asarray([i], dtype=np.int64))
+    return np.concatenate(src), np.concatenate(dst)
+
+
+class TestNeighborEdges:
+    @pytest.mark.parametrize("lists", [
+        [[1, 2], [], [0], [], [4, 0, 1], []],
+        [[], [], []],
+        [[3], [2, 0], [1], [0, 1, 2]],
+    ])
+    def test_matches_loop_with_self_loops(self, lists):
+        neighbors = [np.asarray(nb, dtype=np.int64) for nb in lists]
+        got = model._neighbor_edges(neighbors)
+        want = _loop_neighbor_edges(neighbors)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_matches_loop_on_rig_graph(self):
+        neighbors = micro_sample().graph.geo_neighbors
+        got = model._neighbor_edges(neighbors)
+        want = _loop_neighbor_edges(neighbors)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestVertexToBone:
     def test_singleton_statistics(self):
         rng = np.random.default_rng(5)

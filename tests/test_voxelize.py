@@ -1,8 +1,68 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heterskin import voxelize
+from heterskin import synthgen, voxelize
 from heterskin.rigcore import Mesh, RigError
+
+
+def _tri_box_overlap(centers: np.ndarray, half: float, tri: np.ndarray) -> np.ndarray:
+    """Closed-box SAT test of one triangle against many boxes.
+
+    centers: (C, 3) box centers, half: half side, tri: (3, 3).
+    Returns a (C,) bool mask; touching counts as overlap.
+    """
+    v = tri[None, :, :] - centers[:, None, :]  # (C, 3, 3)
+    slack = half * 1e-9
+    # box face axes
+    lo = v.min(axis=1)
+    hi = v.max(axis=1)
+    ok = np.all((hi >= -half - slack) & (lo <= half + slack), axis=1)
+    if not ok.any():
+        return ok
+    e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
+    # triangle plane
+    n = np.cross(e[0], e[1])
+    d = v[:, 0, :] @ n
+    r = half * np.abs(n).sum()
+    ok &= np.abs(d) <= r + slack * np.abs(n).sum()
+    if not ok.any():
+        return ok
+    # 9 edge cross-product axes
+    for i in range(3):
+        for j in range(3):
+            axis = np.zeros(3)
+            axis[j] = 1.0
+            a = np.cross(e[i], axis)
+            if not a.any():
+                continue
+            p = v @ a  # (C, 3)
+            ra = (half + slack) * np.abs(a).sum()
+            ok &= (p.min(axis=1) <= ra) & (p.max(axis=1) >= -ra)
+    return ok
+
+
+def _reference_voxelize_surface(mesh: Mesh, grid: voxelize.VoxelGrid) -> np.ndarray:
+    """Oracle: the SAT test run triangle by triangle over each triangle's
+    clipped bounding box of cells."""
+    r = grid.resolution
+    labels = np.zeros((r,) * 3, dtype=np.uint8)
+    half = grid.cell_size / 2
+    for tri_idx in mesh.triangles:
+        tri = mesh.vertices[tri_idx]
+        lo = np.floor((tri.min(axis=0) - grid.origin) / grid.cell_size).astype(np.int64)
+        hi = np.floor((tri.max(axis=0) - grid.origin) / grid.cell_size).astype(np.int64)
+        lo = np.clip(lo, 1, r - 2)
+        hi = np.clip(hi, 1, r - 2)
+        xs, ys, zs = [np.arange(lo[a], hi[a] + 1) for a in range(3)]
+        cells = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
+        mask = _tri_box_overlap(grid.center_of(cells), half, tri)
+        hit = cells[mask]
+        labels[hit[:, 0], hit[:, 1], hit[:, 2]] = voxelize.MESH
+    return labels
 
 
 def _unit_cube_mesh():
@@ -113,6 +173,100 @@ class TestVoxelizeSurface:
         la = voxelize.voxelize_surface(mesh_a, grid)
         lb = voxelize.voxelize_surface(mesh_b, grid)
         assert np.array_equal(la, lb)
+
+
+def _grid(r, cell_size=1.0, origin=(0.0, 0.0, 0.0)):
+    return voxelize.VoxelGrid(
+        origin=np.asarray(origin, dtype=np.float64),
+        cell_size=cell_size,
+        resolution=r,
+        labels=np.zeros((r, r, r), dtype=np.uint8),
+    )
+
+
+def _soup(tris) -> Mesh:
+    """Mesh with three distinct vertex indices per triangle, so triangles
+    with repeated vertex positions are accepted."""
+    tris = np.asarray(tris, dtype=np.float64).reshape(-1, 3, 3)
+    return Mesh(tris.reshape(-1, 3), np.arange(3 * len(tris)).reshape(-1, 3))
+
+
+_R = 8
+
+
+@st.composite
+def _triangle(draw):
+    """One triangle in cell units: free or face-snapped coordinates that
+    reach into and past the padding border, in one of several degenerate
+    or axis-aligned shapes."""
+    coord = st.one_of(
+        st.floats(min_value=-1.5, max_value=_R + 1.5, allow_nan=False),
+        st.integers(min_value=-1, max_value=_R + 1).map(float),
+    )
+    point = st.tuples(coord, coord, coord).map(np.array)
+    a, b, c = draw(point), draw(point), draw(point)
+    kind = draw(st.sampled_from(["random", "collinear", "repeated", "point", "axis"]))
+    if kind == "collinear":
+        c = a + draw(st.floats(min_value=-2, max_value=2)) * (b - a)
+    elif kind == "repeated":
+        c = a.copy()
+    elif kind == "point":
+        b, c = a.copy(), a.copy()
+    elif kind == "axis":
+        k = draw(st.integers(min_value=0, max_value=2))
+        b[k] = c[k] = a[k]
+    return np.stack([a, b, c])
+
+
+class TestBatchedEquivalence:
+    """voxelize_surface against the triangle-by-triangle oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        tris=st.lists(_triangle(), min_size=1, max_size=6),
+        cell_size=st.sampled_from([1.0, 0.37, 1 / 86]),
+        shift=st.sampled_from([0.0, -2.25, 10.1]),
+        chunk=st.sampled_from([1, 3, 7, voxelize.CHUNK_PAIRS]),
+    )
+    def test_matches_reference(self, tris, cell_size, shift, chunk):
+        origin = np.full(3, shift)
+        mesh = _soup(origin + np.asarray(tris) * cell_size)
+        grid = _grid(_R, cell_size, origin)
+        with mock.patch.object(voxelize, "CHUNK_PAIRS", chunk):
+            got = voxelize.voxelize_surface(mesh, grid)
+        want = _reference_voxelize_surface(mesh, grid)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_chunks_split_and_join_triangles(self):
+        # the first triangle's 4x4x4 candidate cells span 16 chunks of 4
+        # pairs; the two one-cell triangles after it share one chunk
+        tris = [
+            [[1.5, 1.5, 1.5], [4.5, 1.5, 4.5], [1.5, 4.5, 3.0]],
+            [[5.2, 5.2, 5.2], [5.8, 5.2, 5.2], [5.2, 5.8, 5.2]],
+            [[2.2, 6.2, 2.2], [2.8, 6.2, 2.2], [2.2, 6.8, 2.8]],
+        ]
+        mesh = _soup(tris)
+        grid = _grid(_R)
+        with mock.patch.object(voxelize, "CHUNK_PAIRS", 4):
+            got = voxelize.voxelize_surface(mesh, grid)
+        assert got.tobytes() == _reference_voxelize_surface(mesh, grid).tobytes()
+        assert got[5, 5, 5] and got[2, 6, 2]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_synthetic_rig_matches_reference(self, seed):
+        rig = synthgen.gen_character(synthgen.SynthConfig(resolution=32), seed)
+        grid = voxelize.build_grid(rig.mesh, 32)
+        got = voxelize.voxelize_surface(rig.mesh, grid)
+        assert got.tobytes() == _reference_voxelize_surface(rig.mesh, grid).tobytes()
+
+    def test_no_triangles_all_hollow(self):
+        mesh = Mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+        grid = _grid(_R)
+        labels = voxelize.voxelize_surface(mesh, grid)
+        assert labels.shape == (_R,) * 3 and labels.dtype == np.uint8
+        assert not labels.any()
+        assert grid.labels is labels
 
 
 class TestRasterizeBone:

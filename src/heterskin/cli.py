@@ -25,6 +25,8 @@ def _write_weights(weights: rigcore.WeightRows, path) -> None:
 def _read_weights(path) -> rigcore.WeightRows:
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict) or not {"rows", "num_bones"} <= doc.keys():
+        raise rigcore.RigError(f"{path}: a weights file needs \"rows\" and \"num_bones\"")
     return rigcore.WeightRows.from_pairs(doc["rows"], doc["num_bones"])
 
 
@@ -65,28 +67,24 @@ def cmd_voxelize(args) -> int:
     return 0
 
 
+def _field_summary(field: hollowdist.DistanceField) -> dict:
+    reached = field.steps >= 0
+    dist = field.dist[reached]
+    return {"bone": field.bone, "finite_cells": int(reached.sum()),
+            "min": float(dist.min()), "max": float(dist.max())}
+
+
 def cmd_hollowdist(args) -> int:
     rig = rigcore.load_rig(args.rig)
     merged, _ = rigcore.merge_rig(rig)
     grid = voxelize.voxelize_mesh(merged.mesh, args.resolution)
-    summaries = []
-    n, b = merged.mesh.num_vertices, merged.skeleton.num_bones
-    d = np.zeros((n, b))
-    for j, cells in enumerate(hollowdist.bone_cell_sets(merged, grid)):
-        field = hollowdist.compute_cell_distances(grid, cells, bone=j)
-        d[:, j] = hollowdist.vertex_distances(field, merged.mesh.vertices, grid)
-        finite = field.steps >= 0
-        dist = field.dist
-        summaries.append({
-            "bone": j,
-            "finite_cells": int(finite.sum()),
-            "min": float(dist[finite].min()),
-            "max": float(dist[finite].max()),
-        })
+    summaries, columns = zip(*[(_field_summary(field), column) for field, column
+                               in hollowdist.bone_fields(merged, grid)])
+    d = np.stack(columns, axis=1)
     with open(args.out, "w") as f:
         json.dump({"distances": d.tolist(), "bone_fields": summaries}, f)
         f.write("\n")
-    print(f"distance matrix {n}x{b} -> {args.out}")
+    print(f"distance matrix {d.shape[0]}x{d.shape[1]} -> {args.out}")
     return 0
 
 
@@ -203,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, predict, evaluate.",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 guarantees bit-determinism)")
+                        help="accepted but not read yet; pin OPENBLAS_NUM_THREADS "
+                             "for identical reruns")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic rigs")

@@ -8,18 +8,13 @@ plus the straight-line distance from that cell's center to the vertex).
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .rigcore import Rig
 from .voxelize import VoxelGrid, rasterize_bone
-
-# fixed expansion order: +x, -x, +y, -y, +z, -z
-NEIGHBOR_OFFSETS = np.array(
-    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-    dtype=np.int64,
-)
 
 
 @dataclass
@@ -37,86 +32,75 @@ class DistanceField:
         return d
 
 
-def _neighbors_flat(flat: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """6-neighborhood of flat cell indices: (F, 6) indices and validity mask."""
-    x = flat // (r * r)
-    y = (flat // r) % r
-    z = flat % r
-    nx = x[:, None] + NEIGHBOR_OFFSETS[:, 0][None, :]
-    ny = y[:, None] + NEIGHBOR_OFFSETS[:, 1][None, :]
-    nz = z[:, None] + NEIGHBOR_OFFSETS[:, 2][None, :]
-    valid = (nx >= 0) & (nx < r) & (ny >= 0) & (ny < r) & (nz >= 0) & (nz < r)
-    nb = (nx * r + ny) * r + nz
-    return nb, valid
-
-
 def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 0) -> DistanceField:
     """BFS distance field for one bone (level-synchronous frontier sweep).
 
     Claim order within a level is source-major, direction-minor, which
     reproduces the sequential FIFO traversal with the fixed neighbor
     order, so distances and predecessors are deterministic.
+
+    The search runs on a copy of the grid padded by one blocked cell per
+    side (step count -2), so every neighbor of an inner cell is a valid
+    flat index and needs no bounds test.  Padded flat order is monotone
+    in unpadded flat order, so claim order and restart tie-break are the
+    same as on the unpadded grid.
     """
     bone_cells = np.atleast_2d(np.asarray(bone_cells, dtype=np.int64))
     if bone_cells.size == 0:
         raise ValueError("bone cell set is empty")
     r = grid.resolution
-    mesh = grid.labels.reshape(-1).astype(bool)
-    steps = np.full(r * r * r, -1, dtype=np.int32)
-    pred = np.full(r * r * r, -1, dtype=np.int32)
-    seeds = (bone_cells[:, 0] * r + bone_cells[:, 1]) * r + bone_cells[:, 2]
+    p = r + 2
+    inner = (slice(1, -1),) * 3
+    mesh = np.zeros((p, p, p), dtype=bool)
+    mesh[inner] = grid.labels
+    mesh = mesh.reshape(-1)
+    steps = np.full((p, p, p), -2, dtype=np.int32)
+    steps[inner] = -1
+    steps = steps.reshape(-1)
+    pred = np.full(p * p * p, -1, dtype=np.int32)
+    # fixed expansion order: +x, -x, +y, -y, +z, -z
+    offsets = np.array([p * p, -p * p, p, -p, 1, -1], dtype=np.int64)
+    seeds = ((bone_cells[:, 0] + 1) * p + bone_cells[:, 1] + 1) * p + bone_cells[:, 2] + 1
     seeds = seeds[np.sort(np.unique(seeds, return_index=True)[1])]
     steps[seeds] = 0
     frontier = seeds
     level = 0
     while True:
         while frontier.size:
-            nb, valid = _neighbors_flat(frontier, r)
-            allowed = valid.copy()
-            allowed[valid] &= steps[nb[valid]] < 0
+            nb = frontier[:, None] + offsets
             # never expand from a mesh cell into a hollow cell
-            src_mesh = mesh[frontier][:, None]
-            allowed &= ~(src_mesh & ~mesh[np.clip(nb, 0, r * r * r - 1)])
-            cand_dst = nb[allowed]
-            cand_src = np.broadcast_to(frontier[:, None], nb.shape)[allowed]
+            free = (steps[nb] == -1) & ~(mesh[frontier][:, None] & ~mesh[nb])
+            cand_dst = nb[free]
             if cand_dst.size == 0:
-                frontier = cand_dst
                 break
+            cand_src = np.broadcast_to(frontier[:, None], nb.shape)[free]
             first = np.sort(np.unique(cand_dst, return_index=True)[1])
-            dst = cand_dst[first]
-            steps[dst] = level + 1
-            pred[dst] = cand_src[first]
-            frontier = dst
+            frontier = cand_dst[first]
+            steps[frontier] = level + 1
+            pred[frontier] = cand_src[first]
             level += 1
-        untraversed_mesh = mesh & (steps < 0)
-        if not untraversed_mesh.any():
+        if not (mesh & (steps == -1)).any():
             break
         # restart: nearest traversed mesh cell bordering untraversed hollow
         cand = np.flatnonzero(mesh & (steps >= 0))
-        if cand.size:
-            nb, valid = _neighbors_flat(cand, r)
-            open_hollow = valid.copy()
-            open_hollow[valid] &= (steps[nb[valid]] < 0) & ~mesh[nb[valid]]
-            has_open = open_hollow.any(axis=1)
-            cand = cand[has_open]
+        nb = cand[:, None] + offsets
+        cand = cand[((steps[nb] == -1) & ~mesh[nb]).any(axis=1)]
         if cand.size == 0:
             raise RuntimeError("mesh cells unreachable even via restarts; grid is corrupt")
         best = cand[np.lexsort((cand, steps[cand]))[0]]
-        nb, valid = _neighbors_flat(np.array([best]), r)
-        mask = valid[0] & (steps[np.clip(nb[0], 0, r * r * r - 1)] < 0)
-        mask &= ~mesh[np.clip(nb[0], 0, r * r * r - 1)]
-        new = nb[0][mask]
-        level = int(steps[best])
-        steps[new] = level + 1
-        pred[new] = best
-        frontier = new
-        level += 1
-    shape = (r, r, r)
-    return DistanceField(bone, steps.reshape(shape), pred.reshape(shape), grid.cell_size)
-
-
-def vertex_distance(field: DistanceField, position, grid: VoxelGrid) -> float:
-    return float(vertex_distances(field, np.asarray(position)[None, :], grid)[0])
+        frontier = best + offsets
+        frontier = frontier[(steps[frontier] == -1) & ~mesh[frontier]]
+        level = int(steps[best]) + 1
+        steps[frontier] = level
+        pred[frontier] = best
+    steps = np.ascontiguousarray(steps.reshape(p, p, p)[inner])
+    pred = np.ascontiguousarray(pred.reshape(p, p, p)[inner])
+    # back to unpadded flat indices, on the reached cells only
+    reached = pred >= 0
+    x, rest = np.divmod(pred[reached] - (p * p + p + 1), p * p)
+    y, z = np.divmod(rest, p)
+    pred[reached] = (x * r + y) * r + z
+    return DistanceField(bone, steps, pred, grid.cell_size)
 
 
 def vertex_distances(field: DistanceField, positions: np.ndarray, grid: VoxelGrid) -> np.ndarray:
@@ -147,17 +131,20 @@ def bone_cell_sets(rig: Rig, grid: VoxelGrid) -> list[np.ndarray]:
     return [rasterize_bone(s, e, grid) for s, e in zip(starts, ends)]
 
 
+def bone_fields(rig: Rig, grid: VoxelGrid) -> Iterator[tuple[DistanceField, np.ndarray]]:
+    """Each bone's distance field with its column of vertex distances, in
+    bone order."""
+    for j, cells in enumerate(bone_cell_sets(rig, grid)):
+        field = compute_cell_distances(grid, cells, j)
+        column = vertex_distances(field, rig.mesh.vertices, grid)
+        if not np.all(np.isfinite(column)):
+            raise RuntimeError("non-finite vertex-bone distance")
+        yield field, column
+
+
 def compute_all(rig: Rig, grid: VoxelGrid) -> np.ndarray:
     """N x B matrix of vertex-to-bone distances over the labeled grid."""
-    n = rig.mesh.num_vertices
-    b = rig.skeleton.num_bones
-    d = np.zeros((n, b))
-    for j, cells in enumerate(bone_cell_sets(rig, grid)):
-        field = compute_cell_distances(grid, cells, bone=j)
-        d[:, j] = vertex_distances(field, rig.mesh.vertices, grid)
-    if not np.all(np.isfinite(d)):
-        raise RuntimeError("non-finite vertex-bone distance")
-    return d
+    return np.stack([column for _, column in bone_fields(rig, grid)], axis=1)
 
 
 def euclidean_all(rig: Rig) -> np.ndarray:

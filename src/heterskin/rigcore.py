@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
@@ -141,10 +143,17 @@ class WeightRows:
     def from_pairs(cls, rows, num_bones, renorm_tol=1e-4) -> "WeightRows":
         idx, val = [], []
         for i, row in enumerate(rows):
-            ji = np.asarray([p[0] for p in row], dtype=np.int64)
-            wi = np.asarray([p[1] for p in row], dtype=np.float64)
+            try:
+                ji = np.asarray([j for j, _ in row], dtype=np.int64)
+                wi = np.asarray([w for _, w in row], dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise RigError(f"weight row {i}: entries must be [bone, weight] pairs") from e
             if len(ji) and (ji.min() < 0 or ji.max() >= num_bones):
                 raise RigError(f"weight row {i}: bone index out of range [0, {num_bones})")
+            js = np.sort(ji)
+            repeated = js[1:][js[1:] == js[:-1]]
+            if repeated.size:
+                raise RigError(f"weight row {i}: bone {repeated[0]} is listed twice")
             if np.any(wi < 0):
                 raise RigError(f"weight row {i}: negative weight")
             s = wi.sum()
@@ -210,33 +219,11 @@ def merge_duplicate_vertices(mesh: Mesh, tol: float = 1e-6) -> tuple[Mesh, np.nd
     if tol < 0:
         raise RigError("merge tolerance must be >= 0")
     n = mesh.num_vertices
-    if n == 0:
-        return mesh, np.zeros(0, dtype=np.int64)
-    root = np.arange(n)
-
-    def find(a):
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    if tol > 0:
-        pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray")
-    else:
-        # exact duplicates only
-        _, inv = np.unique(mesh.vertices, axis=0, return_inverse=True)
-        order = np.argsort(inv, kind="stable")
-        pairs = np.stack([order[:-1], order[1:]], axis=1)
-        pairs = pairs[inv[pairs[:, 0]] == inv[pairs[:, 1]]]
-    for a, b in pairs:
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            root[max(ra, rb)] = min(ra, rb)
-    rep = np.asarray([find(i) for i in range(n)])
-    keep = np.flatnonzero(rep == np.arange(n))
-    new_of_rep = np.full(n, -1, dtype=np.int64)
-    new_of_rep[keep] = np.arange(len(keep))
-    mapping = new_of_rep[rep]
+    pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray")
+    graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    # components are numbered in order of their smallest vertex index
+    mapping = connected_components(graph, directed=False)[1].astype(np.int64)
+    keep = np.unique(mapping, return_index=True)[1]
     tris = mapping[mesh.triangles]
     ok = (tris[:, 0] != tris[:, 1]) & (tris[:, 1] != tris[:, 2]) & (tris[:, 0] != tris[:, 2])
     return Mesh(mesh.vertices[keep], tris[ok]), mapping
@@ -248,9 +235,7 @@ def merge_rig(rig: Rig, tol: float = 1e-6) -> tuple[Rig, np.ndarray]:
     mesh, mapping = merge_duplicate_vertices(rig.mesh, tol)
     weights = None
     if rig.weights is not None:
-        first_old = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        for old in range(len(mapping) - 1, -1, -1):
-            first_old[mapping[old]] = old
+        first_old = np.unique(mapping, return_index=True)[1]
         weights = WeightRows(
             tuple(rig.weights.indices[o] for o in first_old),
             tuple(rig.weights.values[o] for o in first_old),

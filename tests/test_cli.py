@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from heterskin import cli
+from heterskin import cli, hollowdist, rigcore, voxelize
 
 
 def run(argv):
@@ -44,8 +45,11 @@ class TestVoxelizeGraph:
         rig = str(data_dir / "rig_00000.json")
         dist = tmp_path / "dist.txt"
         assert run(["hollowdist", "--rig", rig, "--resolution", "32", "--out", str(dist)]) == 0
-        text = dist.read_text()
-        assert "bone" in text
+        doc = json.loads(dist.read_text())
+        merged, _ = rigcore.merge_rig(rigcore.load_rig(rig))
+        grid = voxelize.voxelize_mesh(merged.mesh, 32)
+        assert np.array_equal(np.array(doc["distances"]), hollowdist.compute_all(merged, grid))
+        assert [f["bone"] for f in doc["bone_fields"]] == list(range(merged.skeleton.num_bones))
         gout = tmp_path / "graph.json"
         assert run(["graph", "--rig", rig, "--dist", str(dist), "--k", "3",
                     "--out", str(gout)]) == 0
@@ -82,8 +86,6 @@ class TestPipeline:
 
     def test_eval_identity_metrics(self, data_dir, tmp_path):
         rig = str(data_dir / "rig_00001.json")
-        from heterskin import rigcore
-
         gt = rigcore.load_rig(rig).weights
         weights = tmp_path / "gt_weights.json"
         cli._write_weights(gt, weights)
@@ -148,5 +150,20 @@ class TestErrors:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"num_bones": 2, "rows": [[[0, 1.0, 0.5]]]}, "entries must be [bone, weight] pairs"),
+        ({"num_bones": 2, "rows": [[[0, 0.5], [0, 0.5]]]}, "bone 0 is listed twice"),
+        ({"num_bones": 2}, 'needs "rows" and "num_bones"'),
+    ])
+    def test_malformed_weights_file(self, data_dir, tmp_path, capsys, doc, message):
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(doc))
+        pose = tmp_path / "pose.json"
+        pose.write_text("[]")
+        code = run(["deform", "--rig", str(data_dir / "rig_00000.json"), "--weights", str(weights),
+                    "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
         assert code == 1
         assert message in capsys.readouterr().err

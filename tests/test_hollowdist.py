@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterskin import hollowdist, synthgen, voxelize
 from heterskin.rigcore import Mesh, Rig
@@ -32,7 +34,36 @@ def assert_matches_reference(grid, seeds):
     assert np.array_equal(field.pred, ref_pred)
 
 
+@st.composite
+def _border_case(draw):
+    """A grid with mesh cells anywhere, border faces, edges and corners
+    included, optionally a one-cell-thick closed box (which forces
+    restarts), and seeds biased towards the border."""
+    r = draw(st.integers(min_value=1, max_value=9))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    labels = rng.uniform(size=(r, r, r)) < density
+    if r >= 3 and draw(st.booleans()):
+        lo = draw(st.integers(min_value=0, max_value=r - 3))
+        hi = draw(st.integers(min_value=lo + 3, max_value=r))
+        labels[lo:hi, lo:hi, lo:hi] = True
+        labels[lo + 1:hi - 1, lo + 1:hi - 1, lo + 1:hi - 1] = False
+    coord = st.one_of(st.sampled_from([0, r - 1]), st.integers(min_value=0, max_value=r - 1))
+    seeds = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=4))
+    return labels, np.array(seeds)
+
+
 class TestCellDistances:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(case=_border_case())
+    def test_matches_reference_on_border_cells(self, case):
+        labels, seeds = case
+        r = labels.shape[0]
+        grid = voxelize.VoxelGrid(origin=np.zeros(3), cell_size=1.0, resolution=r,
+                                  labels=labels)
+        assert_matches_reference(grid, seeds)
+
+
     def test_open_grid_manhattan(self):
         grid = open_grid()
         field = hollowdist.compute_cell_distances(grid, np.array([[0, 0, 0]]))
@@ -115,13 +146,15 @@ class TestVertexDistance:
     def test_seed_cell_vertex_zero(self):
         grid = open_grid()
         field = hollowdist.compute_cell_distances(grid, np.array([[1, 1, 1]]))
-        assert hollowdist.vertex_distance(field, (1.5, 1.5, 1.5), grid) == 0.0
+        p = np.array([1.5, 1.5, 1.5])
+        assert hollowdist.vertex_distances(field, p[None], grid)[0] == 0.0
 
     def test_two_step_arithmetic(self):
         grid = open_grid()
         field = hollowdist.compute_cell_distances(grid, np.array([[1, 1, 1]]))
         # cell (3,1,1) has pred (2,1,1) at dist 1; center (2.5, 1.5, 1.5)
-        d = hollowdist.vertex_distance(field, (3.5, 1.5, 1.5), grid)
+        p = np.array([3.5, 1.5, 1.5])
+        d = hollowdist.vertex_distances(field, p[None], grid)[0]
         assert d == pytest.approx(1.0 + 1.0)
 
     def test_recompute_from_stored_pred(self):
@@ -133,7 +166,7 @@ class TestVertexDistance:
             c = grid.inner_cell_of(p[None, :])[0]
             if field.steps[tuple(c)] < 0:
                 continue
-            got = hollowdist.vertex_distance(field, p, grid)
+            got = hollowdist.vertex_distances(field, p[None], grid)[0]
             if field.steps[tuple(c)] == 0:
                 assert got == 0.0
                 continue

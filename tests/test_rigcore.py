@@ -111,6 +111,19 @@ class TestWeightRows:
         with pytest.raises(RigError):
             WeightRows.from_pairs([[(0, -0.1), (1, 1.1)]], num_bones=2)
 
+    @pytest.mark.parametrize("row", [
+        [(0, 1.0, 0.0)],
+        [(0,)],
+        [0.5],
+    ])
+    def test_malformed_pair_rejected(self, row):
+        with pytest.raises(RigError, match="pairs"):
+            WeightRows.from_pairs([row], num_bones=2)
+
+    def test_repeated_bone_rejected(self):
+        with pytest.raises(RigError, match="bone 0 is listed twice"):
+            WeightRows.from_pairs([[(0, 0.5), (0, 0.5)]], num_bones=2)
+
     def test_dense_round_trip(self):
         dense = np.array([[0.25, 0.75, 0.0], [0.0, 0.5, 0.5]])
         w = WeightRows.from_dense(dense)
@@ -140,19 +153,26 @@ class TestMergeDuplicates:
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(3)
+        cases = []
         for trial in range(10):
             base = rng.uniform(0, 1, size=(30, 3))
             dup_of = rng.integers(0, 30, size=8)
-            verts = np.vstack([base, base[dup_of]])
-            tris = np.array([[i, i + 1, i + 2] for i in range(0, 36, 3)])
-            mesh = Mesh(verts, tris)
-            merged, mapping = rigcore.merge_duplicate_vertices(mesh, tol=1e-6)
-            groups = brute_force_dedup(verts, 1e-6)
-            # same partition: two old vertices merge iff the oracle groups them
-            for i in range(len(verts)):
-                for j in range(i + 1, len(verts)):
-                    assert (mapping[i] == mapping[j]) == (groups[i] == groups[j])
-            assert len(merged.vertices) == len(np.unique(groups))
+            cases.append(np.vstack([base, base[dup_of]]))
+        # a transitive chain: neighbours 0.6 tol apart, ends 1.8 tol apart
+        chain = np.zeros((36, 3))
+        chain[:, 1] = np.arange(36)
+        chain[[5, 17, 2, 30]] = [[0.0, -1, 0], [0.6e-6, -1, 0], [1.2e-6, -1, 0], [1.8e-6, -1, 0]]
+        cases.append(chain)
+        tris = np.array([[i, i + 1, i + 2] for i in range(0, 36, 3)])
+        for tol in (0.0, 1e-6):
+            for verts in cases:
+                merged, mapping = rigcore.merge_duplicate_vertices(Mesh(verts, tris), tol=tol)
+                groups = brute_force_dedup(verts, tol)
+                # same partition: two old vertices merge iff the oracle groups them
+                for i in range(len(verts)):
+                    for j in range(i + 1, len(verts)):
+                        assert (mapping[i] == mapping[j]) == (groups[i] == groups[j])
+                assert len(merged.vertices) == len(np.unique(groups))
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)

@@ -105,17 +105,65 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make(np.concatenate([p.value for p in parts], axis=1), tuple(parts), bw, "concat_cols")
 
 
-def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[0]):
-        raise AutodiffError("gather_rows index out of range")
+class SegmentLayout:
+    """Where each row of an (E, F) input goes: row i belongs to segment
+    ``idx[i]`` of ``num``.
+
+    Validated once and built once per index array, in the ``segment_csr``
+    style of PyTorch Geometric, so a graph's fixed index arrays pay for
+    their bookkeeping only once.  It holds:
+
+    - ``counts``: rows per segment, and ``denom``, the counts floored at 1
+      as a float column;
+    - ``incidence``: the (num, E) CSR matrix of ones whose row s lists the
+      rows of segment s in input order, so ``incidence @ x`` adds them in
+      the order ``np.add.at`` does, starting from 0.0;
+    - ``slots``: the (num, width) map of each segment's rows in input order,
+      padded with E (one past the last row); width is the largest count,
+      at least 1.
+    """
+
+    __slots__ = ("idx", "num", "counts", "denom", "incidence", "slots")
+
+    def __init__(self, idx, num: int):
+        idx = np.array(idx, dtype=np.int64)
+        if idx.ndim != 1:
+            raise AutodiffError(f"segment index must be 1-D, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= num):
+            raise AutodiffError("segment index out of range")
+        idx.setflags(write=False)
+        e = idx.size
+        counts = np.bincount(idx, minlength=num)
+        order = np.argsort(idx, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        seg = idx[order]
+        slots = np.full((num, max(int(counts.max(initial=0)), 1)), e, dtype=np.int64)
+        slots[seg, np.arange(e) - indptr[seg]] = order
+        self.idx = idx
+        self.num = num
+        self.counts = counts
+        self.denom = np.maximum(counts, 1).astype(np.float64)[:, None]
+        self.incidence = sp.csr_matrix((np.ones(e), order, indptr), shape=(num, e))
+        self.slots = slots
+
+
+def _layout(idx, num: int) -> SegmentLayout:
+    if isinstance(idx, SegmentLayout):
+        if idx.num != num:
+            raise AutodiffError(f"segment layout over {idx.num} segments used for {num}")
+        return idx
+    return SegmentLayout(idx, num)
+
+
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``a[idx]``; ``idx`` is an index array or a `SegmentLayout` over
+    the rows of ``a``."""
+    lay = _layout(idx, a.value.shape[0])
 
     def bw(g):
-        out = np.zeros_like(a.value)
-        np.add.at(out, idx, g)
-        return (out,)
+        return (lay.incidence @ g,)
 
-    return _make(a.value[idx], (a,), bw, "gather_rows")
+    return _make(a.value[lay.idx], (a,), bw, "gather_rows")
 
 
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
@@ -126,64 +174,55 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
                  lambda g: (g.sum(axis=0, keepdims=True),), "broadcast_rows")
 
 
-def _segments(idx: np.ndarray, num: int):
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= num):
-        raise AutodiffError("segment index out of range")
-    counts = np.bincount(idx, minlength=num)
-    return idx, counts
-
-
 def segment_max(a: Tensor, idx, num: int) -> Tensor:
     """Per-segment column-wise max; empty segments yield 0 (no gradient).
     Gradient routes to the first argmax element of each segment."""
-    idx, counts = _segments(idx, num)
-    f = a.value.shape[1]
-    out = np.full((num, f), -np.inf)
-    np.maximum.at(out, idx, a.value)
-    out[counts == 0] = 0.0
-    # first row (in input order) attaining the max, per segment and column
-    hit = a.value == out[idx]
-    rows = np.broadcast_to(np.arange(len(idx))[:, None], hit.shape)
-    winner = np.full((num, f), len(idx), dtype=np.int64)
-    np.minimum.at(winner, idx, np.where(hit, rows, len(idx)))
+    lay = _layout(idx, num)
+    e, f = a.value.shape
+    padded = np.concatenate([a.value, np.full((1, f), -np.inf)])
+    buf = padded[lay.slots]  # (num, width, F); padding slots read -inf
+    out = buf.max(axis=1)
+    # Equal maxima differ at most in the sign of a zero.  np.maximum keeps
+    # the later of two equal values, so a zero max takes the sign of the
+    # segment's last zero, whatever order the reduction ran in.
+    seg, col = np.nonzero(out == 0)
+    last_zero = lay.slots.shape[1] - 1 - (buf[seg, ::-1, col] == 0).argmax(axis=1)
+    out[seg, col] = buf[seg, last_zero, col]
+    out[lay.counts == 0] = 0.0
 
     def bw(g):
-        out_g = np.zeros_like(a.value)
-        seg, col = np.nonzero(winner < len(idx))
-        out_g[winner[seg, col], col] += g[seg, col]
-        return (out_g,)
+        # first row (in input order) attaining the max; padding slots and
+        # rows that miss it read e, a dropped extra row (int32 halves the
+        # (num, width, F) temporary)
+        rows = np.where(a.value == out[lay.idx], np.arange(e, dtype=np.int32)[:, None],
+                        np.int32(e))
+        winner = np.concatenate([rows, np.full((1, f), e, dtype=np.int32)])[lay.slots].min(axis=1)
+        out_g = np.zeros((e + 1, f))
+        out_g[winner, np.arange(f)] += g
+        return (out_g[:e],)
 
     return _make(out, (a,), bw, "segment_max")
 
 
 def segment_mean(a: Tensor, idx, num: int) -> Tensor:
-    idx, counts = _segments(idx, num)
-    sums = np.zeros((num, a.value.shape[1]))
-    np.add.at(sums, idx, a.value)
-    denom = np.maximum(counts, 1).astype(np.float64)[:, None]
-    out = sums / denom
+    lay = _layout(idx, num)
+    out = (lay.incidence @ a.value) / lay.denom
 
     def bw(g):
-        return (g[idx] / denom[idx],)
+        return (g[lay.idx] / lay.denom[lay.idx],)
 
     return _make(out, (a,), bw, "segment_mean")
 
 
 def segment_var(a: Tensor, idx, num: int) -> Tensor:
     """Biased (1/n) per-segment variance; empty segments yield 0."""
-    idx, counts = _segments(idx, num)
-    f = a.value.shape[1]
-    denom = np.maximum(counts, 1).astype(np.float64)[:, None]
-    sums = np.zeros((num, f))
-    np.add.at(sums, idx, a.value)
-    mean = sums / denom
-    sq = np.zeros((num, f))
-    np.add.at(sq, idx, a.value ** 2)
-    out = np.maximum(sq / denom - mean ** 2, 0.0)
+    lay = _layout(idx, num)
+    mean = (lay.incidence @ a.value) / lay.denom
+    sq = lay.incidence @ a.value ** 2
+    out = np.maximum(sq / lay.denom - mean ** 2, 0.0)
 
     def bw(g):
-        return (2.0 * (a.value - mean[idx]) * g[idx] / denom[idx],)
+        return (2.0 * (a.value - mean[lay.idx]) * g[lay.idx] / lay.denom[lay.idx],)
 
     return _make(out, (a,), bw, "segment_var")
 
@@ -275,9 +314,7 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         for p, g in zip(node.parents, parent_grads):
             if g is None:
                 continue
-            if p.grad is None:
-                p.grad = np.zeros_like(p.value)
-            p.grad = p.grad + g
+            p.grad = 0.0 + g if p.grad is None else p.grad + g
     return {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in params.items()

@@ -2,23 +2,80 @@
 
 Bundles one-ring mesh edges, capped geodesic neighborhoods, shared-joint
 skeleton edges, per-vertex Top-K bone bindings, node attribute arrays and
-the combinatorial mesh Laplacian.
+the combinatorial mesh Laplacian, plus the segment layouts the network's
+autodiff ops use on them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+from .autodiff import SegmentLayout
 from .rigcore import Mesh, Skeleton
 
 EPS_DIST = 1e-6  # clamp for inverse distances (vertices on bones)
 
 
+def directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of undirected pairs plus self-loops for nodes that
+    would otherwise have no neighbors."""
+    if len(pairs):
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    else:
+        src = np.zeros(0, dtype=np.int64)
+        dst = np.zeros(0, dtype=np.int64)
+    present = np.zeros(n, dtype=bool)
+    present[src] = True
+    lonely = np.flatnonzero(~present)
+    return np.concatenate([src, lonely]), np.concatenate([dst, lonely])
+
+
+def neighbor_edges(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Directed (center, neighbor) edges from per-node lists, with
+    self-loops for empty lists."""
+    lens = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
+    src = np.repeat(np.arange(len(neighbors), dtype=np.int64), np.maximum(lens, 1))
+    dst = src.copy()
+    dst[lens[src] > 0] = np.concatenate(neighbors)
+    return src, dst
+
+
+def edge_layouts(edges: tuple[np.ndarray, np.ndarray],
+                 n: int) -> tuple[SegmentLayout, SegmentLayout]:
+    """Layouts of directed (src, dst) edges over n nodes: src groups each
+    node's incoming messages, dst gathers their senders."""
+    src, dst = edges
+    return SegmentLayout(src, n), SegmentLayout(dst, n)
+
+
+class TopKLayouts(NamedTuple):
+    """Layouts of an (N, K) Top-K bone table; slot i*K + j binds vertex i
+    to bone topk[i, j]."""
+
+    vertex_of_slot: SegmentLayout  # over the N vertices
+    bone_of_slot: SegmentLayout  # over the B bones
+    columns: tuple[SegmentLayout, ...]  # topk[:, j] over the B bones
+
+    @classmethod
+    def build(cls, topk: np.ndarray, num_bones: int) -> "TopKLayouts":
+        n, k = topk.shape
+        return cls(SegmentLayout(np.repeat(np.arange(n), k), n),
+                   SegmentLayout(topk.reshape(-1), num_bones),
+                   tuple(SegmentLayout(col, num_bones) for col in topk.T))
+
+
 @dataclass
 class HeterGraph:
+    """The graph of one rig.  Its arrays are read-only by contract: the
+    layout properties are built on first use and cached, so every forward
+    pass over the graph shares them."""
+
     mesh_edges: np.ndarray  # (E, 2) undirected vertex pairs
     geo_neighbors: list[np.ndarray]  # per-vertex neighbor index arrays
     skel_edges: np.ndarray  # (Es, 2) undirected bone pairs
@@ -35,6 +92,30 @@ class HeterGraph:
     @property
     def k(self) -> int:
         return self.topk.shape[1]
+
+    @cached_property
+    def ring_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
+        """Directed one-ring edges with nothing dropped."""
+        return edge_layouts(directed_edges(self.mesh_edges, self.num_vertices),
+                            self.num_vertices)
+
+    @cached_property
+    def geo_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
+        return edge_layouts(neighbor_edges(self.geo_neighbors), self.num_vertices)
+
+    @cached_property
+    def skel_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
+        return edge_layouts(directed_edges(self.skel_edges, self.num_bones), self.num_bones)
+
+    @cached_property
+    def topk_layouts(self) -> TopKLayouts:
+        return TopKLayouts.build(self.topk, self.num_bones)
+
+    @cached_property
+    def pool_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
+        """One segment over all vertices and one over all bones."""
+        return (SegmentLayout(np.zeros(self.num_vertices, dtype=np.int64), 1),
+                SegmentLayout(np.zeros(self.num_bones, dtype=np.int64), 1))
 
 
 def topk_bones(d: np.ndarray, k: int) -> np.ndarray:

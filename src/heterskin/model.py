@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .hgraph import HeterGraph, build_graph
+from .hgraph import HeterGraph, TopKLayouts, build_graph, directed_edges, edge_layouts
 from .hollowdist import compute_all, euclidean_all
 from .rigcore import Rig, RigError, WeightRows, merge_rig
 from .voxelize import voxelize_mesh
@@ -101,34 +101,9 @@ def init_params(h: HyperParams, seed: int = 0) -> dict[str, Tensor]:
 # layer operators
 
 
-def _directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions of undirected pairs plus self-loops for nodes that
-    would otherwise have no neighbors."""
-    if len(pairs):
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    present = np.zeros(n, dtype=bool)
-    present[src] = True
-    lonely = np.flatnonzero(~present)
-    return np.concatenate([src, lonely]), np.concatenate([dst, lonely])
-
-
-def _neighbor_edges(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (center, neighbor) edges from per-node lists, with
-    self-loops for empty lists."""
-    lens = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
-    src = np.repeat(np.arange(len(neighbors), dtype=np.int64), np.maximum(lens, 1))
-    dst = src.copy()
-    dst[lens[src] > 0] = np.concatenate(neighbors)
-    return src, dst
-
-
-def edge_conv(f: Tensor, src: np.ndarray, dst: np.ndarray, w: Tensor,
-              alpha: float) -> Tensor:
-    """Max over neighbors j of MLP(f_i || f_i - f_j)."""
+def edge_conv(f: Tensor, src, dst, w: Tensor, alpha: float) -> Tensor:
+    """Max over neighbors j of MLP(f_i || f_i - f_j), over directed edges
+    given as index arrays or segment layouts."""
     fi = ad.gather_rows(f, src)
     fj = ad.gather_rows(f, dst)
     h = ad.concat_cols([fi, ad.sub(fi, fj)])
@@ -136,43 +111,37 @@ def edge_conv(f: Tensor, src: np.ndarray, dst: np.ndarray, w: Tensor,
     return ad.segment_max(h, src, f.value.shape[0])
 
 
-def skeleton_conv(f_b: Tensor, skel_edges: np.ndarray, w: Tensor, alpha: float) -> Tensor:
-    src, dst = _directed_edges(skel_edges, f_b.value.shape[0])
-    return edge_conv(f_b, src, dst, w, alpha)
-
-
-def mesh_conv(f_v: Tensor, ring_edges: tuple[np.ndarray, np.ndarray],
-              geo_edges: tuple[np.ndarray, np.ndarray],
+def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
               w_ring: Tensor, w_geo: Tensor, w_merge: Tensor, alpha: float) -> Tensor:
     a = edge_conv(f_v, ring_edges[0], ring_edges[1], w_ring, alpha)
     b = edge_conv(f_v, geo_edges[0], geo_edges[1], w_geo, alpha)
     return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), alpha)
 
 
-def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: np.ndarray, num_bones: int,
-                   w: Tensor, alpha: float, var_scale: float) -> Tensor:
+def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: TopKLayouts, w: Tensor, alpha: float,
+                   var_scale: float) -> Tensor:
     """Bones gather max/mean/damped-variance over their influenced vertices."""
-    vertex_of_slot = np.repeat(np.arange(topk.shape[0]), topk.shape[1])
-    bone_of_slot = topk.reshape(-1)
-    slot_feats = ad.gather_rows(f_v, vertex_of_slot)
-    mx = ad.segment_max(slot_feats, bone_of_slot, num_bones)
-    mean = ad.segment_mean(slot_feats, bone_of_slot, num_bones)
-    var = ad.scale(ad.segment_var(slot_feats, bone_of_slot, num_bones), var_scale)
+    slot_feats = ad.gather_rows(f_v, topk.vertex_of_slot)
+    bones = topk.bone_of_slot
+    mx = ad.segment_max(slot_feats, bones, bones.num)
+    mean = ad.segment_mean(slot_feats, bones, bones.num)
+    var = ad.scale(ad.segment_var(slot_feats, bones, bones.num), var_scale)
     h = ad.concat_cols([f_b, mx, mean, var])
     return ad.leaky_relu(ad.matmul(h, w), alpha)
 
 
-def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: np.ndarray, w: Tensor,
+def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: TopKLayouts, w: Tensor,
                    alpha: float) -> Tensor:
     """Vertices concatenate their Top-K bones' features in distance order."""
-    parts = [f_v] + [ad.gather_rows(f_b, topk[:, j]) for j in range(topk.shape[1])]
+    parts = [f_v] + [ad.gather_rows(f_b, col) for col in topk.columns]
     return ad.leaky_relu(ad.matmul(ad.concat_cols(parts), w), alpha)
 
 
-def global_branch(f: Tensor, w: Tensor, alpha: float) -> Tensor:
+def global_branch(f: Tensor, pool, w: Tensor, alpha: float) -> Tensor:
+    """Max-pool over all rows of f (``pool`` puts every row in segment 0)."""
     if f.value.shape[0] == 0:
         raise ad.AutodiffError("global branch over an empty node set")
-    pooled = ad.segment_max(f, np.zeros(f.value.shape[0], dtype=np.int64), 1)
+    pooled = ad.segment_max(f, pool, 1)
     return ad.leaky_relu(ad.matmul(pooled, w), alpha)
 
 
@@ -187,39 +156,42 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     if train_mode and rng is None:
         rng = np.random.default_rng(0)
     alpha = h.leaky_alpha
-    n, b = graph.num_vertices, graph.num_bones
+    n = graph.num_vertices
 
-    ring_pairs = graph.mesh_edges
-    if train_mode and h.edge_dropout > 0 and len(ring_pairs):
-        keep = rng.random(len(ring_pairs)) >= h.edge_dropout
-        ring_pairs = ring_pairs[keep]
-    ring_edges = _directed_edges(ring_pairs, n)
-    geo_edges = _neighbor_edges(graph.geo_neighbors)
+    # graph-only layouts are cached on the graph; dropped ring edges change
+    # every train-mode pass and are shared by its mesh convolutions
+    if train_mode and h.edge_dropout > 0 and len(graph.mesh_edges):
+        keep = rng.random(len(graph.mesh_edges)) >= h.edge_dropout
+        ring = edge_layouts(directed_edges(graph.mesh_edges[keep], n), n)
+    else:
+        ring = graph.ring_layouts
+    geo, skel, topk = graph.geo_layouts, graph.skel_layouts, graph.topk_layouts
+    vertex_pool, bone_pool = graph.pool_layouts
 
     f_v = Tensor(graph.vertex_attr)
     f_b = Tensor(graph.bone_attr)
 
     # lift raw attributes through the first inter-graph convolution
-    f_v = bone_to_vertex(f_v, f_b, graph.topk, params["inter0.b2v"], alpha)
-    f_b = vertex_to_bone(f_v, Tensor(graph.bone_attr), graph.topk, b,
-                         params["inter0.v2b"], alpha, h.var_scale)
+    f_v = bone_to_vertex(f_v, f_b, topk, params["inter0.b2v"], alpha)
+    f_b = vertex_to_bone(f_v, Tensor(graph.bone_attr), topk, params["inter0.v2b"], alpha,
+                         h.var_scale)
 
-    f_v = mesh_conv(f_v, ring_edges, geo_edges, params["mesh0.ring"],
+    f_v = mesh_conv(f_v, ring, geo, params["mesh0.ring"],
                     params["mesh0.geo"], params["mesh0.merge"], alpha)
-    f_b = skeleton_conv(f_b, graph.skel_edges, params["skel0.conv"], alpha)
+    f_b = edge_conv(f_b, *skel, params["skel0.conv"], alpha)
 
-    g_v = global_branch(f_v, params["global.vertex"], alpha)
-    g_b = global_branch(f_b, params["global.bone"], alpha)
+    g_v = global_branch(f_v, vertex_pool, params["global.vertex"], alpha)
+    g_b = global_branch(f_b, bone_pool, params["global.bone"], alpha)
 
     for s in range(h.local_stages):
-        f_v = mesh_conv(f_v, ring_edges, geo_edges, params[f"stage{s}.mesh.ring"],
+        f_v = mesh_conv(f_v, ring, geo, params[f"stage{s}.mesh.ring"],
                         params[f"stage{s}.mesh.geo"], params[f"stage{s}.mesh.merge"], alpha)
-        f_b = skeleton_conv(f_b, graph.skel_edges, params[f"stage{s}.skel.conv"], alpha)
-        f_v = bone_to_vertex(f_v, f_b, graph.topk, params[f"stage{s}.inter.b2v"], alpha)
-        f_b = vertex_to_bone(f_v, f_b, graph.topk, b, params[f"stage{s}.inter.v2b"],
-                             alpha, h.var_scale)
+        f_b = edge_conv(f_b, *skel, params[f"stage{s}.skel.conv"], alpha)
+        f_v = bone_to_vertex(f_v, f_b, topk, params[f"stage{s}.inter.b2v"], alpha)
+        f_b = vertex_to_bone(f_v, f_b, topk, params[f"stage{s}.inter.v2b"], alpha,
+                             h.var_scale)
 
-    bone_locals = [ad.gather_rows(f_b, graph.topk[:, j]) for j in range(h.k)]
+    bone_locals = [ad.gather_rows(f_b, col) for col in topk.columns]
     feat = ad.concat_cols([f_v] + bone_locals +
                           [ad.broadcast_rows(g_v, n), ad.broadcast_rows(g_b, n)])
 

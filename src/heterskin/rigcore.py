@@ -144,12 +144,17 @@ class WeightRows:
         idx, val = [], []
         for i, row in enumerate(rows):
             try:
-                ji = np.asarray([j for j, _ in row], dtype=np.int64)
+                bones = [j for j, _ in row]
                 wi = np.asarray([w for _, w in row], dtype=np.float64)
             except (TypeError, ValueError) as e:
                 raise RigError(f"weight row {i}: entries must be [bone, weight] pairs") from e
-            if len(ji) and (ji.min() < 0 or ji.max() >= num_bones):
-                raise RigError(f"weight row {i}: bone index out of range [0, {num_bones})")
+            for j in bones:
+                # bool is an int subclass; 1.5, "1" and true are not bone indices
+                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+                    raise RigError(f"weight row {i}: bone index {j!r} is not an integer")
+                if not 0 <= j < num_bones:
+                    raise RigError(f"weight row {i}: bone index out of range [0, {num_bones})")
+            ji = np.asarray(bones, dtype=np.int64)
             js = np.sort(ji)
             repeated = js[1:][js[1:] == js[:-1]]
             if repeated.size:

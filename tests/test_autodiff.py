@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterskin.autodiff as ad
 from heterskin.autodiff import AutodiffError, Tensor
@@ -213,3 +215,176 @@ class TestKaiming:
         a = ad.kaiming_normal((5, 5), fan_in=5, rng=np.random.default_rng(4))
         b = ad.kaiming_normal((5, 5), fan_in=5, rng=np.random.default_rng(4))
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the scatter-based segment ops that `SegmentLayout` replaced, kept as the
+# reference: each returns the forward value and the backward function
+
+
+def _reference_gather_rows(a, idx):
+    def bw(g):
+        out = np.zeros_like(a)
+        np.add.at(out, idx, g)
+        return out
+
+    return a[idx], bw
+
+
+def _reference_segment_max(a, idx, num):
+    counts = np.bincount(idx, minlength=num)
+    f = a.shape[1]
+    out = np.full((num, f), -np.inf)
+    np.maximum.at(out, idx, a)
+    out[counts == 0] = 0.0
+    hit = a == out[idx]
+    rows = np.broadcast_to(np.arange(len(idx))[:, None], hit.shape)
+    winner = np.full((num, f), len(idx), dtype=np.int64)
+    np.minimum.at(winner, idx, np.where(hit, rows, len(idx)))
+
+    def bw(g):
+        out_g = np.zeros_like(a)
+        seg, col = np.nonzero(winner < len(idx))
+        out_g[winner[seg, col], col] += g[seg, col]
+        return out_g
+
+    return out, bw
+
+
+def _reference_segment_mean(a, idx, num):
+    counts = np.bincount(idx, minlength=num)
+    sums = np.zeros((num, a.shape[1]))
+    np.add.at(sums, idx, a)
+    denom = np.maximum(counts, 1).astype(np.float64)[:, None]
+    return sums / denom, lambda g: g[idx] / denom[idx]
+
+
+def _reference_segment_var(a, idx, num):
+    counts = np.bincount(idx, minlength=num)
+    f = a.shape[1]
+    denom = np.maximum(counts, 1).astype(np.float64)[:, None]
+    sums = np.zeros((num, f))
+    np.add.at(sums, idx, a)
+    mean = sums / denom
+    sq = np.zeros((num, f))
+    np.add.at(sq, idx, a ** 2)
+    out = np.maximum(sq / denom - mean ** 2, 0.0)
+    return out, lambda g: 2.0 * (a - mean[idx]) * g[idx] / denom[idx]
+
+
+# signed zeros, exact ties and a few magnitudes; whole rows repeat too
+_ENTRY = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]),
+                   st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+
+@st.composite
+def _segment_case(draw):
+    """(idx, num, columns): random index arrays with empty segments, a single
+    segment, one row per segment, and no rows at all."""
+    kind = draw(st.sampled_from(["random", "single", "one_per_segment", "empty"]))
+    num = draw(st.integers(min_value=0 if kind == "empty" else 1, max_value=6))
+    if kind == "random":
+        idx = draw(st.lists(st.integers(0, num - 1), min_size=1, max_size=60))
+    elif kind == "single":
+        num = 1
+        idx = [0] * draw(st.integers(min_value=1, max_value=40))
+    elif kind == "one_per_segment":
+        idx = draw(st.permutations(range(num)))
+    else:
+        idx = []
+    return np.asarray(idx, dtype=np.int64), num, draw(st.integers(min_value=1, max_value=4))
+
+
+def _matrix(draw, rows, cols):
+    """A (rows, cols) matrix whose rows come from a pool of at most three,
+    so exactly tied rows are common, or whose entries are all signed zeros
+    and ones."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.sampled_from([-0.0, 0.0, 1.0]),
+                                min_size=rows * cols, max_size=rows * cols))
+        return np.asarray(entries, dtype=np.float64).reshape(rows, cols)
+    pool = draw(st.lists(st.lists(_ENTRY, min_size=cols, max_size=cols),
+                         min_size=1, max_size=3))
+    pick = draw(st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows))
+    return np.asarray([pool[i] for i in pick], dtype=np.float64).reshape(rows, cols)
+
+
+class TestSegmentLayoutEquivalence:
+    """Layout-based segment ops against the `ufunc.at` reference, forward
+    values and backward gradients byte for byte."""
+
+    @staticmethod
+    def _check(got: Tensor, want, g):
+        want_out, want_bw = want
+        assert got.value.shape == want_out.shape
+        assert got.value.tobytes() == want_out.tobytes()
+        (got_g,) = got.backward_fn(g)
+        want_g = want_bw(g)
+        assert got_g.shape == want_g.shape
+        assert got_g.tobytes() == want_g.tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(case=_segment_case(), prebuilt=st.booleans(), data=st.data())
+    def test_segment_ops_match_reference(self, case, prebuilt, data):
+        idx, num, f = case
+        x = _matrix(data.draw, len(idx), f)
+        g = _matrix(data.draw, num, f)
+        seg = ad.SegmentLayout(idx, num) if prebuilt else idx
+        for op, ref in ((ad.segment_max, _reference_segment_max),
+                        (ad.segment_mean, _reference_segment_mean),
+                        (ad.segment_var, _reference_segment_var)):
+            self._check(op(Tensor(x), seg, num), ref(x, idx, num), g)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(case=_segment_case(), prebuilt=st.booleans(), data=st.data())
+    def test_gather_rows_matches_reference(self, case, prebuilt, data):
+        idx, num, f = case
+        a = _matrix(data.draw, num, f)
+        g = _matrix(data.draw, len(idx), f)
+        rows = ad.SegmentLayout(idx, num) if prebuilt else idx
+        self._check(ad.gather_rows(Tensor(a), rows), _reference_gather_rows(a, idx), g)
+
+    def test_zero_max_takes_last_zero_sign(self):
+        # nine or more rows in one column is where numpy's max reduction
+        # stops keeping the later of equal values
+        for column in ([0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -0.0],
+                       [-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -1.0, -0.0, 0.0, -2.0]):
+            x = np.asarray(column)[:, None]
+            want, _ = _reference_segment_max(x, np.zeros(len(x), dtype=np.int64), 1)
+            out = ad.segment_max(Tensor(x), np.zeros(len(x), dtype=np.int64), 1)
+            assert out.value.tobytes() == want.tobytes()
+
+    def test_tie_routes_to_first_row(self):
+        x = np.array([[1.0, -0.0], [3.0, 0.0], [3.0, 0.0], [3.0, -0.0]])
+        idx = np.array([1, 1, 1, 1])
+        out = ad.segment_max(Tensor(x), idx, 2)
+        assert out.value.tobytes() == np.array([[0.0, 0.0], [3.0, -0.0]]).tobytes()
+        (grad,) = out.backward_fn(np.array([[5.0, 5.0], [7.0, 11.0]]))
+        assert np.array_equal(grad, [[0.0, 11.0], [7.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+class TestSegmentLayout:
+    def test_incidence_and_slots_in_input_order(self):
+        lay = ad.SegmentLayout([2, 0, 2, 2], 4)
+        assert lay.counts.tolist() == [1, 0, 3, 0]
+        assert lay.incidence.indices.tolist() == [1, 0, 2, 3]
+        assert lay.slots.tolist() == [[1, 4, 4], [4, 4, 4], [0, 2, 3], [4, 4, 4]]
+
+    def test_index_is_a_read_only_copy(self):
+        idx = np.array([0, 1])
+        lay = ad.SegmentLayout(idx, 2)
+        idx[0] = 1
+        assert lay.idx.tolist() == [0, 1]
+        assert not lay.idx.flags.writeable
+
+    @pytest.mark.parametrize("idx, num", [([0, 2], 2), ([-1], 3), ([[0]], 1)])
+    def test_invalid_index_rejected(self, idx, num):
+        with pytest.raises(AutodiffError):
+            ad.SegmentLayout(idx, num)
+
+    def test_layout_over_other_count_rejected(self):
+        lay = ad.SegmentLayout([0, 1], 2)
+        with pytest.raises(AutodiffError, match="2 segments used for 3"):
+            ad.segment_mean(Tensor(np.ones((2, 1))), lay, 3)
+        with pytest.raises(AutodiffError, match="2 segments used for 4"):
+            ad.gather_rows(Tensor(np.ones((4, 1))), lay)

@@ -157,6 +157,8 @@ class TestErrors:
         ({"num_bones": 2, "rows": [[[0, 1.0, 0.5]]]}, "entries must be [bone, weight] pairs"),
         ({"num_bones": 2, "rows": [[[0, 0.5], [0, 0.5]]]}, "bone 0 is listed twice"),
         ({"num_bones": 2}, 'needs "rows" and "num_bones"'),
+        ({"num_bones": 2, "rows": [[[0, 1.0]], [["1", 1.0]]]},
+         "weight row 1: bone index '1' is not an integer"),
     ])
     def test_malformed_weights_file(self, data_dir, tmp_path, capsys, doc, message):
         weights = tmp_path / "w.json"

@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterskin.autodiff as ad
-from heterskin import cli, model, synthgen
+from heterskin import cli, hgraph, model, synthgen
 from heterskin.autodiff import Tensor
+from heterskin.hgraph import TopKLayouts
 from heterskin.rigcore import RigError, WeightRows, save_rig
 
 from oracles import finite_difference, max_relative_error
@@ -52,17 +55,23 @@ class TestHyperParams:
             model.HyperParams(distance_mode="manhattan")
 
 
+def skeleton_conv(f, pairs, w, alpha):
+    """Edge convolution over both directions of undirected bone pairs."""
+    edges = hgraph.directed_edges(pairs, f.value.shape[0])
+    return model.edge_conv(f, *edges, w, alpha)
+
+
 class TestSkeletonConv:
     def test_isolated_bone_self_loop(self):
         f = Tensor(np.array([[1.0, 2.0]]))
         w = Tensor(np.vstack([np.eye(2), np.zeros((2, 2))]), name="w")
-        out = model.skeleton_conv(f, np.empty((0, 2), int), w, alpha=0.2)
+        out = skeleton_conv(f, np.empty((0, 2), int), w, alpha=0.2)
         assert np.allclose(out.value, f.value)
 
     def test_identical_neighbors_difference_vanishes(self):
         f = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
         w = Tensor(np.vstack([np.zeros((2, 2)), np.eye(2)]), name="w")
-        out = model.skeleton_conv(f, np.array([[0, 1]]), w, alpha=0.2)
+        out = skeleton_conv(f, np.array([[0, 1]]), w, alpha=0.2)
         assert np.allclose(out.value, 0.0)
 
     def test_neighbor_permutation_invariant(self):
@@ -70,8 +79,8 @@ class TestSkeletonConv:
         f = Tensor(rng.standard_normal((5, 3)))
         w = Tensor(rng.standard_normal((6, 3)), name="w")
         edges = np.array([[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]])
-        out1 = model.skeleton_conv(f, edges, w, alpha=0.2)
-        out2 = model.skeleton_conv(f, edges[::-1].copy(), w, alpha=0.2)
+        out1 = skeleton_conv(f, edges, w, alpha=0.2)
+        out2 = skeleton_conv(f, edges[::-1].copy(), w, alpha=0.2)
         assert np.array_equal(out1.value, out2.value)
 
 
@@ -95,7 +104,7 @@ class TestNeighborEdges:
     ])
     def test_matches_loop_with_self_loops(self, lists):
         neighbors = [np.asarray(nb, dtype=np.int64) for nb in lists]
-        got = model._neighbor_edges(neighbors)
+        got = hgraph.neighbor_edges(neighbors)
         want = _loop_neighbor_edges(neighbors)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
@@ -103,7 +112,7 @@ class TestNeighborEdges:
 
     def test_matches_loop_on_rig_graph(self):
         neighbors = micro_sample().graph.geo_neighbors
-        got = model._neighbor_edges(neighbors)
+        got = hgraph.neighbor_edges(neighbors)
         want = _loop_neighbor_edges(neighbors)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -115,7 +124,7 @@ class TestVertexToBone:
         fb = Tensor(rng.standard_normal((2, 2)))
         w = Tensor(rng.standard_normal((2 + 9, 2)), name="w")
         topk = np.array([[0]])
-        out = model.vertex_to_bone(fv, fb, topk, 2, w, alpha=0.2, var_scale=0.1)
+        out = model.vertex_to_bone(fv, fb, TopKLayouts.build(topk, 2), w, alpha=0.2, var_scale=0.1)
         # bone 1 has no influence set: its statistics are all zero
         manual = np.concatenate([fb.value[1], np.zeros(9)])
         lin = manual @ w.value
@@ -129,7 +138,7 @@ class TestVertexToBone:
         fb = Tensor(rng.standard_normal((b, 2)))
         topk = np.stack([rng.choice(b, size=k, replace=False) for _ in range(n)])
         w = Tensor(np.eye(2 + 9, 2), name="w")
-        out = model.vertex_to_bone(fv, fb, topk, b, w, alpha=0.2, var_scale=0.1)
+        out = model.vertex_to_bone(fv, fb, TopKLayouts.build(topk, b), w, alpha=0.2, var_scale=0.1)
         for j in range(b):
             members = np.flatnonzero((topk == j).any(axis=1))
             if members.size == 0:
@@ -149,8 +158,8 @@ class TestBoneToVertex:
         fv = Tensor(rng.standard_normal((1, 3)))
         fb = Tensor(rng.standard_normal((4, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
-        a = model.bone_to_vertex(fv, fb, np.array([[0, 1]]), w, alpha=0.2)
-        b = model.bone_to_vertex(fv, fb, np.array([[1, 0]]), w, alpha=0.2)
+        a = model.bone_to_vertex(fv, fb, TopKLayouts.build(np.array([[0, 1]]), 4), w, alpha=0.2)
+        b = model.bone_to_vertex(fv, fb, TopKLayouts.build(np.array([[1, 0]]), 4), w, alpha=0.2)
         assert not np.allclose(a.value, b.value)
 
     def test_identical_vertices_identical_outputs(self):
@@ -160,7 +169,7 @@ class TestBoneToVertex:
         fb = Tensor(rng.standard_normal((3, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
         topk = np.array([[0, 2], [0, 2]])
-        out = model.bone_to_vertex(fv, fb, topk, w, alpha=0.2)
+        out = model.bone_to_vertex(fv, fb, TopKLayouts.build(topk, 3), w, alpha=0.2)
         assert np.array_equal(out.value[0], out.value[1])
 
 
@@ -169,7 +178,7 @@ class TestGlobalBranch:
         rng = np.random.default_rng(13)
         f = Tensor(rng.standard_normal((1, 3)))
         w = Tensor(rng.standard_normal((3, 4)), name="w")
-        out = model.global_branch(f, w, alpha=0.2)
+        out = model.global_branch(f, np.zeros(1, dtype=np.int64), w, alpha=0.2)
         lin = f.value[0] @ w.value
         assert np.allclose(out.value[0], np.where(lin > 0, lin, 0.2 * lin))
 
@@ -177,8 +186,9 @@ class TestGlobalBranch:
         rng = np.random.default_rng(15)
         f = rng.standard_normal((4, 3))
         w = Tensor(rng.standard_normal((3, 4)), name="w")
-        a = model.global_branch(Tensor(f), w, alpha=0.2)
-        b = model.global_branch(Tensor(np.vstack([f, f])), w, alpha=0.2)
+        a = model.global_branch(Tensor(f), np.zeros(4, dtype=np.int64), w, alpha=0.2)
+        b = model.global_branch(Tensor(np.vstack([f, f])), np.zeros(8, dtype=np.int64), w,
+                               alpha=0.2)
         assert np.array_equal(a.value, b.value)
 
 
@@ -225,6 +235,70 @@ class TestForward:
 
             numeric = finite_difference(scalar, base, h=1e-5)
             assert max_relative_error(grads[name], numeric) < 1e-4
+
+
+def _spread_logits(params, h, seed):
+    """Replace the zero-initialized logit layer so outputs are not uniform."""
+    logit = f"final.{len(h.final_dims)}"
+    rng = np.random.default_rng(seed)
+    params[logit] = Tensor(0.05 * rng.standard_normal(params[logit].value.shape), name=logit)
+    return params
+
+
+class TestGraphLayouts:
+    """Segment layouts cached on the graph give the same bytes as fresh
+    ones, and dropped ring edges are rebuilt on every train-mode pass."""
+
+    def test_cached_layouts_give_identical_bytes(self):
+        h = micro_hyper()
+        params = _spread_logits(model.init_params(h, seed=3), h, 4)
+        cached = micro_sample().graph
+        model.forward(cached, params, h)
+        layouts = {name: cached.__dict__[name] for name in
+                   ("ring_layouts", "geo_layouts", "skel_layouts", "topk_layouts", "pool_layouts")}
+        for train_mode in (False, True):
+            fresh = micro_sample().graph
+            assert "geo_layouts" not in fresh.__dict__
+            want = model.forward(fresh, params, h, train_mode, np.random.default_rng(5)).value
+            got = model.forward(cached, params, h, train_mode, np.random.default_rng(5)).value
+            assert got.tobytes() == want.tobytes()
+        # the second and third passes reused the first pass's layouts
+        assert all(cached.__dict__[name] is lay for name, lay in layouts.items())
+
+    def test_train_mode_rebuilds_dropped_ring(self, monkeypatch):
+        h = micro_hyper()
+        params = model.init_params(h, seed=3)
+        graph = micro_sample().graph
+        n = graph.num_vertices
+        built = []
+
+        def spy(edges, count):
+            built.append(hgraph.edge_layouts(edges, count))
+            return built[-1]
+
+        monkeypatch.setattr(model, "edge_layouts", spy)
+        for seed in (1, 2):
+            model.forward(graph, params, h, train_mode=True, rng=np.random.default_rng(seed))
+        assert len(built) == 2
+        for seed, (src, dst) in zip((1, 2), built):
+            keep = np.random.default_rng(seed).random(len(graph.mesh_edges)) >= h.edge_dropout
+            want_src, want_dst = hgraph.directed_edges(graph.mesh_edges[keep], n)
+            assert np.array_equal(src.idx, want_src)
+            assert np.array_equal(dst.idx, want_dst)
+        assert not np.array_equal(built[0][0].idx, built[1][0].idx)
+        assert "ring_layouts" not in graph.__dict__
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(rig_seed=st.integers(0, 100_000), param_seed=st.integers(0, 1_000))
+    def test_predict_rows_convex(self, tiny_hyper, rig_seed, param_seed):
+        rig = synthgen.gen_character(synthgen.SynthConfig(resolution=32), rig_seed)
+        params = _spread_logits(model.init_params(tiny_hyper, param_seed), tiny_hyper,
+                                param_seed)
+        rows = model.predict(rig, params, tiny_hyper)
+        assert len(rows) == rig.mesh.num_vertices
+        values = np.stack(rows.values)
+        assert np.all(values >= 0)
+        assert np.all(np.abs(values.sum(axis=1) - 1.0) <= 1e-6)
 
 
 class TestLoss:

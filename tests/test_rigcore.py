@@ -120,6 +120,22 @@ class TestWeightRows:
         with pytest.raises(RigError, match="pairs"):
             WeightRows.from_pairs([row], num_bones=2)
 
+    @pytest.mark.parametrize("bone", [1.5, 1.0, "1", True, False, None, np.float64(1.0),
+                                      np.bool_(True)])
+    def test_non_integer_bone_rejected(self, bone):
+        with pytest.raises(RigError, match="weight row 1: bone index .* is not an integer"):
+            WeightRows.from_pairs([[(0, 1.0)], [(bone, 1.0)]], num_bones=2)
+
+    @pytest.mark.parametrize("bone", [-1, 2, 2 ** 70])
+    def test_bone_out_of_range_rejected(self, bone):
+        with pytest.raises(RigError, match=r"weight row 0: bone index out of range \[0, 2\)"):
+            WeightRows.from_pairs([[(bone, 1.0)]], num_bones=2)
+
+    def test_integer_bone_types_accepted(self):
+        w = WeightRows.from_pairs([[(1, 1.0)], [(np.int64(1), 1.0)], [(np.int32(0), 1.0)]],
+                                  num_bones=2)
+        assert [ji.tolist() for ji in w.indices] == [[1], [1], [0]]
+
     def test_repeated_bone_rejected(self):
         with pytest.raises(RigError, match="bone 0 is listed twice"):
             WeightRows.from_pairs([[(0, 0.5), (0, 0.5)]], num_bones=2)

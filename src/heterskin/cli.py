@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
+import os
 import sys
 import zlib
 
@@ -10,6 +13,20 @@ import numpy as np
 
 from . import hollowdist, model, rigcore, skinlab, synthgen, voxelize
 from .hgraph import build_graph
+
+
+def _bundled_openblas():
+    """(get, set) thread-count functions of the OpenBLAS that numpy wheels
+    ship in numpy.libs, or None when this numpy has no such library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*")))
+    if not paths:
+        return None
+    lib = ctypes.CDLL(paths[0])
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.restype = ctypes.c_int
+    set_.argtypes = [ctypes.c_int]
+    return get, set_
 
 
 def _write_weights(weights: rigcore.WeightRows, path) -> None:
@@ -201,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, predict, evaluate.",
     )
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted but not read yet; pin OPENBLAS_NUM_THREADS "
-                             "for identical reruns")
+                        help="BLAS threads (numpy's bundled OpenBLAS) while the "
+                             "command runs; reruns with the same count give "
+                             "identical output bytes")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic rigs")
@@ -296,6 +314,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 1
+    blas = _bundled_openblas()
+    if blas is None:
+        print("warning: numpy's bundled OpenBLAS was not found; --threads has no effect",
+              file=sys.stderr)
+    else:
+        previous = blas[0]()
+        blas[1](args.threads)
     try:
         return args.func(args)
     except (rigcore.RigError, ValueError, FileNotFoundError) as e:
@@ -304,6 +332,9 @@ def main(argv=None) -> int:
     except Exception as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
+    finally:
+        if blas is not None:
+            blas[1](previous)
 
 
 if __name__ == "__main__":

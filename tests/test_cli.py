@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from heterskin import cli, hollowdist, rigcore, voxelize
+import heterskin
+from heterskin import cli, hollowdist, rigcore, synthgen, voxelize
 
 
 def run(argv):
@@ -169,3 +173,49 @@ class TestErrors:
                     "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
         assert code == 1
         assert message in capsys.readouterr().err
+
+
+class TestThreads:
+    def test_thread_count_sets_blas(self, monkeypatch):
+        # the option holds while the command runs and is undone after it
+        get, _ = cli._bundled_openblas()
+        before = get()
+        seen = []
+
+        def spy(args):
+            seen.append(get())
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_synth", spy)
+        for n in (1, 2):
+            assert run(["--threads", str(n), "synth", "--count", "1", "--out", "x"]) == 0
+        assert seen == [1, 2]
+        assert get() == before
+
+    def test_nonpositive_thread_count_rejected(self, capsys):
+        assert run(["--threads", "0", "synth", "--count", "1", "--out", "x"]) == 1
+        assert "--threads must be at least 1" in capsys.readouterr().err
+
+    def test_identical_bytes_across_environment_thread_counts(self, tmp_path):
+        # default dims: matrix products with long inner dimensions, whose
+        # last bits depend on the BLAS thread count, run in training
+        data = tmp_path / "data"
+        data.mkdir()
+        rig = data / "rig_00000.json"
+        rigcore.save_rig(synthgen.gen_character(synthgen.SynthConfig(resolution=32), 0), rig)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(heterskin.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+            out = tmp_path / threads
+            out.mkdir()
+            for argv in (
+                ["train", "--data", str(data), "--epochs", "1", "--resolution", "32",
+                 "--out", str(out / "model.ckpt")],
+                ["predict", "--model", str(out / "model.ckpt"), "--rig", str(rig),
+                 "--out", str(out / "weights.json")],
+            ):
+                subprocess.run([sys.executable, "-m", "heterskin.cli", "--threads", "1", *argv],
+                               env=env, check=True, capture_output=True)
+            outputs.append([(out / name).read_bytes() for name in ("model.ckpt", "weights.json")])
+        assert outputs[0] == outputs[1]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from heterskin import hollowdist, synthgen, voxelize
 from heterskin.rigcore import Mesh, Rig
@@ -51,6 +53,94 @@ def _border_case(draw):
     coord = st.one_of(st.sampled_from([0, r - 1]), st.integers(min_value=0, max_value=r - 1))
     seeds = draw(st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=4))
     return labels, np.array(seeds)
+
+
+@st.composite
+def _shell_case(draw):
+    """Detached nests of closed shells, seeds on border cells.
+
+    A nest is one-cell-thick closed boxes, each two cells inside the one
+    around it, down to one or two cells.  The nests sit side by side
+    along x with at least one hollow cell between them, and the hollow
+    gap inside each outer shell is reachable only through a restart, so
+    a grid forces at least one restart per nest.  Border seeds lie
+    outside every nest or on an outer wall."""
+    sizes = draw(st.lists(st.integers(min_value=5, max_value=7), min_size=1, max_size=3))
+    gaps = draw(st.lists(st.integers(min_value=0, max_value=1),
+                         min_size=len(sizes) + 1, max_size=len(sizes) + 1))
+    r = sum(sizes) + len(sizes) - 1 + sum(gaps)
+    labels = np.zeros((r, r, r), bool)
+    x = gaps[0]
+    for size, gap in zip(sizes, gaps[1:]):
+        lo = np.array([x, *draw(st.tuples(*[st.integers(0, r - size)] * 2))])
+        hi = lo + size
+        x += size + 1 + gap
+        while (hi > lo).all():
+            labels[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+            labels[tuple(slice(a + 1, b - 1) for a, b in zip(lo, hi))] = False
+            lo, hi = lo + 2, hi - 2
+    border = st.sampled_from([0, r - 1])
+    free = st.integers(min_value=0, max_value=r - 1)
+    seed = st.permutations([border, free, free]).flatmap(lambda c: st.tuples(*c))
+    seeds = draw(st.lists(seed, min_size=1, max_size=4))
+    return labels, np.array(seeds), len(sizes)
+
+
+def _restarts(field, labels):
+    """Hollow cells whose predecessor is a mesh cell, that is, restart
+    frontier cells: at least one per restart."""
+    pred = field.pred.reshape(-1)
+    mesh = labels.reshape(-1)
+    return int(np.count_nonzero((pred >= 0) & ~mesh & mesh[np.maximum(pred, 0)]))
+
+
+class TestGridGraph:
+    def test_scipy_claims_children_in_column_order(self):
+        # the search relies on this: breadth_first_order claims a row's
+        # children in CSR column order (not sorted), skips a repeated or
+        # already claimed column, and expands in FIFO order
+        rows = {5: [2, 0, 2], 2: [4, 1, 2], 0: [3, 1], 3: [1]}
+        indptr = np.zeros(7, dtype=np.int32)
+        for node, cols in rows.items():
+            indptr[node + 1] = len(cols)
+        indptr = np.cumsum(indptr, dtype=np.int32)
+        indices = np.array([c for node in range(6) for c in rows.get(node, [])], dtype=np.int32)
+        graph = csr_matrix((np.broadcast_to(1.0, indices.shape), indices, indptr), shape=(6, 6))
+        order, pred = breadth_first_order(graph, 5, directed=True, return_predecessors=True)
+        assert order.tolist() == [5, 2, 0, 4, 1, 3]
+        assert pred.tolist() == [5, 2, 5, 0, 2, -9999]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=_shell_case())
+    def test_matches_reference_on_nested_and_detached_shells(self, case):
+        labels, seeds, nests = case
+        r = labels.shape[0]
+        grid = voxelize.VoxelGrid(origin=np.zeros(3), cell_size=1.0, resolution=r,
+                                  labels=labels)
+        ref_steps, ref_pred = reference_bfs(labels, seeds)
+        graph = hollowdist.GridGraph(grid)
+        for field in (hollowdist.compute_cell_distances(grid, seeds),
+                      hollowdist.compute_cell_distances(grid, seeds, 0, graph)):
+            assert np.array_equal(field.steps, ref_steps)
+            assert np.array_equal(field.pred, ref_pred)
+            assert _restarts(field, labels) >= nests
+
+    def test_one_graph_serves_every_bone(self):
+        rng = np.random.default_rng(41)
+        grid = random_grid(rng, 10, wall_prob=0.3)
+        graph = hollowdist.GridGraph(grid)
+        for _ in range(5):
+            seeds = rng.integers(0, 10, size=(int(rng.integers(1, 40)), 3))
+            a = hollowdist.compute_cell_distances(grid, seeds)
+            b = hollowdist.compute_cell_distances(grid, seeds, 0, graph)
+            assert np.array_equal(a.steps, b.steps) and np.array_equal(a.pred, b.pred)
+
+    def test_graph_of_another_grid_rejected(self):
+        rng = np.random.default_rng(43)
+        grid, other = random_grid(rng, 8), random_grid(rng, 8)
+        graph = hollowdist.GridGraph(grid)
+        with pytest.raises(ValueError, match="different grid"):
+            hollowdist.compute_cell_distances(other, np.array([[1, 1, 1]]), 0, graph)
 
 
 class TestCellDistances:

@@ -2,12 +2,65 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterskin import rigcore
 from heterskin.rigcore import Mesh, Rig, RigError, Skeleton, WeightRows
 
 from conftest import chain_skeleton
 from oracles import brute_force_dedup
+
+
+@st.composite
+def _rigs(draw, near_duplicates=False):
+    """Small rigs with a random joint tree and optional weights.
+
+    Coordinates are any finite floats, or with `near_duplicates` floats
+    within 1e6 (a span the k-d tree can square; see
+    `test_overflowing_span_rejected`) where vertices repeat a few base
+    points exactly or within 1e-7, so a merge at tol 1e-6 has groups."""
+    if near_duplicates:
+        coord = st.floats(min_value=-1e6, max_value=1e6)
+        base = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=8)))
+        picks = draw(st.lists(st.tuples(st.integers(0, len(base) - 1), st.sampled_from([0.0, 1e-7])),
+                              min_size=3, max_size=12))
+        verts = np.array([base[i] + jitter for i, jitter in picks])
+    else:
+        coord = st.floats(allow_nan=False, allow_infinity=False)
+        verts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=12)))
+    n = len(verts)
+    corner = st.integers(0, n - 1)
+    tris = draw(st.lists(st.tuples(corner, corner, corner).filter(lambda t: len(set(t)) == 3),
+                         max_size=8))
+    joints = draw(st.integers(1, 6))
+    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, joints)]
+    names = draw(st.lists(st.text(max_size=6), min_size=joints, max_size=joints))
+    positions = draw(st.lists(st.tuples(coord, coord, coord), min_size=joints, max_size=joints))
+    skeleton = Skeleton.build(names, positions, parents)
+    weights = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        dense = rng.uniform(size=(n, skeleton.num_bones)) * (rng.uniform(size=(n, skeleton.num_bones)) < 0.5)
+        dense[np.arange(n), rng.integers(0, skeleton.num_bones, size=n)] += 0.5
+        weights = WeightRows.from_dense(dense / dense.sum(axis=1, keepdims=True))
+    return Rig(Mesh(verts, np.array(tris, dtype=np.int64).reshape(-1, 3)), skeleton, weights,
+               draw(st.text(max_size=6)))
+
+
+def _assert_same_rig(a: Rig, b: Rig):
+    assert a.name == b.name
+    assert a.mesh.vertices.tobytes() == b.mesh.vertices.tobytes()
+    assert np.array_equal(a.mesh.triangles, b.mesh.triangles)
+    assert a.skeleton.names == b.skeleton.names
+    assert a.skeleton.positions.tobytes() == b.skeleton.positions.tobytes()
+    assert np.array_equal(a.skeleton.parents, b.skeleton.parents)
+    assert np.array_equal(a.skeleton.bones, b.skeleton.bones)
+    assert (a.weights is None) == (b.weights is None)
+    if a.weights is not None:
+        assert a.weights.num_bones == b.weights.num_bones
+        for x, y in zip(a.weights.indices + a.weights.values, b.weights.indices + b.weights.values):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def _square_mesh():
@@ -248,6 +301,13 @@ class TestRigIO:
         for a, b in zip(again.weights.values, small_rig.weights.values):
             assert np.array_equal(a, b)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(rig=_rigs())
+    def test_round_trip_property(self, tmp_path_factory, rig):
+        path = tmp_path_factory.mktemp("rig") / "rig.json"
+        rigcore.save_rig(rig, path)
+        _assert_same_rig(rigcore.load_rig(path), rig)
+
     def test_obj_import(self, tmp_path):
         path = tmp_path / "tri.obj"
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -257,6 +317,22 @@ class TestRigIO:
 
 
 class TestMergeRig:
+    def test_overflowing_span_rejected(self):
+        # the k-d tree squares coordinate differences; a span near 1e154
+        # overflows, and the merge raises scipy's error
+        mesh = Mesh(np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1.4e154]]), np.empty((0, 3)))
+        rig = Rig(mesh, chain_skeleton([[0, 0, 0]]))
+        with pytest.raises(ValueError, match="overflow"):
+            rigcore.merge_rig(rig)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(rig=_rigs(near_duplicates=True), tol=st.sampled_from([0.0, 1e-6, 0.5]))
+    def test_idempotent(self, rig, tol):
+        once, _ = rigcore.merge_rig(rig, tol)
+        twice, mapping = rigcore.merge_rig(once, tol)
+        assert np.array_equal(mapping, np.arange(once.mesh.num_vertices))
+        _assert_same_rig(once, twice)
+
     def test_weights_follow_surviving_vertex(self):
         verts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]])
         tris = np.array([[0, 1, 2], [0, 3, 2]])

@@ -47,6 +47,31 @@ def _read_weights(path) -> rigcore.WeightRows:
     return rigcore.WeightRows.from_pairs(doc["rows"], doc["num_bones"])
 
 
+def _read_pose(path, num_bones: int) -> skinlab.Pose:
+    """A list of {"bone", "axis", "angle"} entries; unlisted bones stay at rest."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, list):
+        raise rigcore.RigError(f"{path}: a pose file is a list of bone rotations")
+    pose = skinlab.Pose.identity(num_bones)
+    axes, angles = pose.axes.copy(), pose.angles.copy()
+    for i, entry in enumerate(doc):
+        if not isinstance(entry, dict) or not {"bone", "axis", "angle"} <= entry.keys():
+            raise rigcore.RigError(f'{path}: pose entry {i} needs "bone", "axis" and "angle"')
+        bone = entry["bone"]
+        # bool is an int subclass; -1 would silently pose the last bone
+        if isinstance(bone, bool) or not isinstance(bone, int) or not 0 <= bone < num_bones:
+            raise rigcore.RigError(
+                f"{path}: pose entry {i}: bone {bone!r} is not an integer in [0, {num_bones})")
+        try:
+            axes[bone] = np.asarray(entry["axis"], dtype=np.float64)
+            angles[bone] = float(entry["angle"])
+        except (TypeError, ValueError) as e:
+            raise rigcore.RigError(
+                f"{path}: pose entry {i}: axis must be 3 numbers and angle a number") from e
+    return skinlab.Pose(axes, angles)
+
+
 def _hyper_from_args(args) -> model.HyperParams:
     return model.HyperParams(
         k=args.k,
@@ -176,15 +201,7 @@ def cmd_eval(args) -> int:
 def cmd_deform(args) -> int:
     rig = rigcore.load_rig(args.rig)
     weights = _read_weights(args.weights)
-    with open(args.pose) as f:
-        doc = json.load(f)
-    pose = skinlab.Pose.identity(rig.skeleton.num_bones)
-    axes, angles = pose.axes.copy(), pose.angles.copy()
-    for entry in doc:
-        axes[entry["bone"]] = np.asarray(entry["axis"], dtype=np.float64)
-        angles[entry["bone"]] = float(entry["angle"])
-    pose = skinlab.Pose(axes, angles)
-    tf = skinlab.forward_kinematics(rig.skeleton, pose)
+    tf = skinlab.forward_kinematics(rig.skeleton, _read_pose(args.pose, rig.skeleton.num_bones))
     deformed = skinlab.lbs_deform(rig.mesh.vertices, weights, tf)
     rigcore.save_obj_mesh(rigcore.Mesh(deformed, rig.mesh.triangles), args.out)
     print(f"deformed mesh -> {args.out}")

@@ -19,7 +19,7 @@ from .autodiff import Tensor
 from .hgraph import HeterGraph, TopKLayouts, build_graph, directed_edges, edge_layouts
 from .hollowdist import compute_all, euclidean_all
 from .rigcore import Rig, RigError, WeightRows, merge_rig
-from .voxelize import voxelize_mesh
+from .voxelize import build_grid, voxelize_mesh
 
 KL_EPS = 1e-8  # floor for ground-truth mass inside the KL term
 
@@ -258,9 +258,7 @@ def attribute_clamp(rig: Rig, h: HyperParams) -> float:
     raw 1e-6 clamp yields 1e6-scale attributes that saturate the network
     through the global max-pool.
     """
-    lo, hi = rig.mesh.aabb()
-    cell = float((hi - lo).max()) / (h.resolution - 2)
-    return max(cell / 2, 1e-6)
+    return max(build_grid(rig.mesh, h.resolution).cell_size / 2, 1e-6)
 
 
 def prepare_sample(rig: Rig, h: HyperParams, merge_tol: float = 1e-6) -> TrainSample:

@@ -7,7 +7,7 @@ repr-precision so save/load round-trips 64-bit values exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import coo_array
@@ -67,6 +67,7 @@ class Skeleton:
     positions: np.ndarray  # (J, 3) float64
     parents: np.ndarray  # (J,) int64, -1 for the root
     bones: np.ndarray  # (B, 2) joint index pairs, helpers last
+    depths: np.ndarray = field(init=False, repr=False, compare=False)  # (J,) root's is 0
 
     @classmethod
     def build(cls, names, positions, parents) -> "Skeleton":
@@ -79,7 +80,7 @@ class Skeleton:
         return cls(names, positions, parents, bones)
 
     def __post_init__(self):
-        _validate_tree(self.parents)
+        object.__setattr__(self, "depths", _validate_tree(self.parents))
 
     @property
     def num_joints(self) -> int:
@@ -97,7 +98,8 @@ class Skeleton:
         return self.bones[:, 0] == self.bones[:, 1]
 
 
-def _validate_tree(parents: np.ndarray) -> None:
+def _validate_tree(parents: np.ndarray) -> np.ndarray:
+    """Check for a single-rooted tree; returns each joint's depth."""
     j = len(parents)
     if j == 0:
         raise RigError("skeleton has no joints")
@@ -107,6 +109,7 @@ def _validate_tree(parents: np.ndarray) -> None:
     if parents.max() >= j:
         raise RigError("joint parent index out of range")
     # walk up from each joint; a cycle never reaches the root within j steps
+    depths = np.zeros(j, dtype=np.int64)
     for i in range(j):
         cur, steps = i, 0
         while parents[cur] >= 0:
@@ -114,6 +117,8 @@ def _validate_tree(parents: np.ndarray) -> None:
             steps += 1
             if steps > j:
                 raise RigError(f"cyclic parent links at joint {i}")
+        depths[i] = steps
+    return depths
 
 
 def add_helper_bones(parents) -> np.ndarray:
@@ -224,7 +229,11 @@ def merge_duplicate_vertices(mesh: Mesh, tol: float = 1e-6) -> tuple[Mesh, np.nd
     if tol < 0:
         raise RigError("merge tolerance must be >= 0")
     n = mesh.num_vertices
-    pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray")
+    try:
+        pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray")
+    except ValueError as e:
+        # the tree squares coordinate differences, which overflow from a span near 1e154
+        raise RigError("mesh coordinate span is too large to merge duplicate vertices") from e
     graph = coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     # components are numbered in order of their smallest vertex index
     mapping = connected_components(graph, directed=False)[1].astype(np.int64)

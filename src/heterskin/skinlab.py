@@ -13,15 +13,19 @@ INFLUENCE_TAU = 1e-4
 
 @dataclass(frozen=True)
 class Pose:
-    """Per-bone axis/angle rotations; identity for unselected bones."""
+    """Per-bone axis/angle rotations; identity for unselected bones.  A
+    stack of poses carries the same leading dimensions on both arrays."""
 
-    axes: np.ndarray  # (B, 3) unit vectors
-    angles: np.ndarray  # (B,) radians
+    axes: np.ndarray  # (..., B, 3) unit vectors
+    angles: np.ndarray  # (..., B) radians
 
     def __post_init__(self):
-        norms = np.linalg.norm(self.axes, axis=1)
+        if not np.all(np.isfinite(self.angles)):
+            raise ValueError("pose angles must be finite")
+        norms = np.linalg.norm(self.axes, axis=-1)
         active = self.angles != 0
-        if np.any(np.abs(norms[active] - 1.0) > 1e-9):
+        # written so that a NaN axis fails too
+        if not np.all(np.abs(norms[active] - 1.0) <= 1e-9):
             raise ValueError("pose axes must be unit length")
 
     @classmethod
@@ -47,89 +51,53 @@ class EvalReport:
         }
 
 
-def _axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    x, y, z = axis
-    c, s = np.cos(angle), np.sin(angle)
-    cc = 1.0 - c
-    return np.array([
-        [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-        [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-        [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-    ])
-
-
-def _about_point(rot: np.ndarray, pivot: np.ndarray) -> np.ndarray:
-    t = np.eye(4)
-    t[:3, :3] = rot
-    t[:3, 3] = pivot - rot @ pivot
-    return t
-
-
 def forward_kinematics(skeleton: Skeleton, pose: Pose) -> np.ndarray:
-    """World transform per bone, (B, 4, 4).
+    """World transform per bone, (..., B, 4, 4) for a pose stack (...).
 
     Each bone's rotation acts about its start joint (bind position) and
     composes root-to-leaf; a helper bone applies its own rotation on top
     of its joint's accumulated transform.
     """
     b = skeleton.num_bones
-    if len(pose.angles) != b:
-        raise ValueError(f"pose covers {len(pose.angles)} bones, skeleton has {b}")
-    joint_tf = np.tile(np.eye(4), (skeleton.num_joints, 1, 1))
-    bone_of_child = {}
-    for j, (a, c) in enumerate(skeleton.bones):
-        if a != c:
-            bone_of_child[int(c)] = j
-    # joints in parent-before-child order
-    order = []
-    pending = list(range(skeleton.num_joints))
-    placed = np.zeros(skeleton.num_joints, dtype=bool)
-    while pending:
-        rest = []
-        for j in pending:
-            p = int(skeleton.parents[j])
-            if p < 0 or placed[p]:
-                order.append(j)
-                placed[j] = True
-            else:
-                rest.append(j)
-        pending = rest
-    out = np.tile(np.eye(4), (b, 1, 1))
-    for j in order:
-        p = int(skeleton.parents[j])
-        if p < 0:
-            continue
-        bone = bone_of_child[j]
-        local = _about_point(
-            _axis_angle_matrix(pose.axes[bone], float(pose.angles[bone])),
-            skeleton.positions[p],
-        )
-        joint_tf[j] = joint_tf[p] @ local
-        out[bone] = joint_tf[j]
-    for bone in np.flatnonzero(skeleton.is_helper()):
-        j = int(skeleton.bones[bone, 0])
-        local = _about_point(
-            _axis_angle_matrix(pose.axes[bone], float(pose.angles[bone])),
-            skeleton.positions[j],
-        )
-        out[bone] = joint_tf[j] @ local
+    if pose.angles.shape[-1] != b:
+        raise ValueError(f"pose covers {pose.angles.shape[-1]} bones, skeleton has {b}")
+    shape = pose.angles.shape
+    x, y, z = np.moveaxis(pose.axes, -1, 0)
+    c, s = np.cos(pose.angles), np.sin(pose.angles)
+    cc = 1.0 - c
+    rot = np.stack([
+        c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s,
+        y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s,
+        z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc,
+    ], axis=-1).reshape(shape + (3, 3))
+    start, end = skeleton.bones.T
+    pivot = skeleton.positions[start]
+    local = np.zeros(shape + (4, 4))
+    local[..., :3, :3] = rot
+    local[..., :3, 3] = pivot - (rot @ pivot[:, :, None])[..., 0]
+    local[..., 3, 3] = 1.0
+    joint_tf = np.broadcast_to(np.eye(4), shape[:-1] + (skeleton.num_joints, 4, 4)).copy()
+    out = np.empty_like(local)
+    # a bone's start joint is one level above its end joint, so bones in
+    # start-depth order find their start joint's transform complete; a
+    # helper's end is its own leaf joint, which no later bone reads
+    for bone in np.argsort(skeleton.depths[start], kind="stable"):
+        out[..., bone, :, :] = joint_tf[..., start[bone], :, :] @ local[..., bone, :, :]
+        joint_tf[..., end[bone], :, :] = out[..., bone, :, :]
     return out
 
 
 def lbs_deform(vertices: np.ndarray, weights: WeightRows, transforms: np.ndarray) -> np.ndarray:
-    """v' = sum_j w_ij * T_j(v_i)."""
-    if weights.num_bones != len(transforms):
-        raise ValueError(f"{weights.num_bones} weight bones vs {len(transforms)} transforms")
+    """v' = sum_j w_ij * T_j(v_i); transforms (..., B, 4, 4) give (..., N, 3)."""
+    if weights.num_bones != transforms.shape[-3]:
+        raise ValueError(f"{weights.num_bones} weight bones vs {transforms.shape[-3]} transforms")
     if len(weights) != len(vertices):
         raise ValueError("weight row count does not match vertex count")
-    out = np.zeros_like(vertices)
+    out = np.zeros(transforms.shape[:-3] + vertices.shape)
     dense = weights.to_dense()
-    for j in range(len(transforms)):
-        col = dense[:, j]
-        if not col.any():
-            continue
-        r, t = transforms[j, :3, :3], transforms[j, :3, 3]
-        out += col[:, None] * (vertices @ r.T + t)
+    for j in np.flatnonzero(dense.any(axis=0)):
+        r, t = transforms[..., j, :3, :3], transforms[..., j, None, :3, 3]
+        out += dense[:, j, None] * (vertices @ r.swapaxes(-1, -2) + t)
     return out
 
 
@@ -169,13 +137,9 @@ def precision_recall(pred: WeightRows, gt: WeightRows,
         raise ValueError("prediction and ground truth shapes differ")
     if tau <= 0:
         raise ValueError("influence threshold must be > 0")
-    hit = n_pred = n_gt = 0
-    for i in range(len(pred)):
-        p = {int(j) for j, w in zip(pred.indices[i], pred.values[i]) if w > tau}
-        g = {int(j) for j, w in zip(gt.indices[i], gt.values[i]) if w > tau}
-        hit += len(p & g)
-        n_pred += len(p)
-        n_gt += len(g)
+    p = pred.to_dense() > tau
+    g = gt.to_dense() > tau
+    hit, n_pred, n_gt = int((p & g).sum()), int(p.sum()), int(g.sum())
     precision = hit / n_pred if n_pred else 1.0
     recall = hit / n_gt if n_gt else 1.0
     return precision, recall
@@ -192,13 +156,14 @@ def distance_error(rig: Rig, pred: WeightRows, gt: WeightRows,
                    poses: list[Pose]) -> float:
     """Mean per-vertex Euclidean distance between pred- and gt-deformed
     meshes over all poses."""
-    total = 0.0
-    for pose in poses:
-        tf = forward_kinematics(rig.skeleton, pose)
-        a = lbs_deform(rig.mesh.vertices, pred, tf)
-        b = lbs_deform(rig.mesh.vertices, gt, tf)
-        total += float(np.linalg.norm(a - b, axis=1).mean())
-    return total / len(poses)
+    stack = Pose(np.stack([p.axes for p in poses]), np.stack([p.angles for p in poses]))
+    tf = forward_kinematics(rig.skeleton, stack)
+    # deformed separately, so equal weights give exact zeros
+    a = lbs_deform(rig.mesh.vertices, pred, tf)
+    b = lbs_deform(rig.mesh.vertices, gt, tf)
+    per_pose = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    # summed in pose order; Python 3.12's sum() would compensate
+    return float(np.cumsum(per_pose)[-1]) / len(poses)
 
 
 def evaluate(rig: Rig, pred: WeightRows, gt: WeightRows, poses: list[Pose],

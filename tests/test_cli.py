@@ -175,6 +175,34 @@ class TestErrors:
         assert message in capsys.readouterr().err
 
 
+    # each update replaces fields of a valid second entry; ... drops the field
+    @pytest.mark.parametrize("update, message", [
+        ({"bone": -1}, "pose entry 1: bone -1 is not an integer in [0, {b})"),
+        ({"bone": "past the end"}, "pose entry 1: bone {bone} is not an integer in [0, {b})"),
+        ({"bone": 1.0}, "pose entry 1: bone 1.0 is not an integer in [0, {b})"),
+        ({"axis": ...}, 'pose entry 1 needs "bone", "axis" and "angle"'),
+        ({"angle": None}, "pose entry 1: axis must be 3 numbers and angle a number"),
+        ({"axis": [None, 0, 1]}, "pose axes must be unit length"),
+        ({"angle": float("nan")}, "pose angles must be finite"),
+    ])
+    def test_malformed_pose_file(self, data_dir, tmp_path, capsys, update, message):
+        rig = rigcore.load_rig(data_dir / "rig_00000.json")
+        b = rig.skeleton.num_bones
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps(
+            {"num_bones": b, "rows": [rig.weights.row_pairs(i) for i in range(len(rig.weights))]}))
+        entry = {"bone": 1, "axis": [0.0, 0.0, 1.0], "angle": 0.3, **update}
+        if entry["bone"] == "past the end":
+            entry["bone"] = b + 5
+        entry = {k: v for k, v in entry.items() if v is not ...}
+        pose = tmp_path / "pose.json"
+        pose.write_text(json.dumps([{"bone": 0, "axis": [1.0, 0.0, 0.0], "angle": 0.2}, entry]))
+        code = run(["deform", "--rig", str(data_dir / "rig_00000.json"), "--weights", str(weights),
+                    "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
+        assert code == 1
+        assert message.format(b=b, bone=entry.get("bone")) in capsys.readouterr().err
+
+
 class TestThreads:
     def test_thread_count_sets_blas(self, monkeypatch):
         # the option holds while the command runs and is undone after it

@@ -319,10 +319,10 @@ class TestRigIO:
 class TestMergeRig:
     def test_overflowing_span_rejected(self):
         # the k-d tree squares coordinate differences; a span near 1e154
-        # overflows, and the merge raises scipy's error
+        # overflows, and the merge says so
         mesh = Mesh(np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1.4e154]]), np.empty((0, 3)))
         rig = Rig(mesh, chain_skeleton([[0, 0, 0]]))
-        with pytest.raises(ValueError, match="overflow"):
+        with pytest.raises(RigError, match="coordinate span is too large to merge"):
             rigcore.merge_rig(rig)
 
     @settings(derandomize=True, deadline=None, max_examples=200)

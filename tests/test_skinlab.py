@@ -8,6 +8,109 @@ from heterskin.skinlab import Pose
 from conftest import chain_skeleton, tube_rig
 
 
+# reference: evaluation one pose at a time, with a parent-first joint sort
+# and per-vertex influence sets; skinlab must match it byte for byte
+
+
+def _axis_angle_matrix(axis, angle):
+    x, y, z = axis
+    c, s = np.cos(angle), np.sin(angle)
+    cc = 1.0 - c
+    return np.array([
+        [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
+        [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
+        [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
+    ])
+
+
+def _about_point(rot, pivot):
+    t = np.eye(4)
+    t[:3, :3] = rot
+    t[:3, 3] = pivot - rot @ pivot
+    return t
+
+
+def _reference_forward_kinematics(skeleton, pose):
+    """One pose: joints placed parent-first, then helper bones."""
+    b = skeleton.num_bones
+    joint_tf = np.tile(np.eye(4), (skeleton.num_joints, 1, 1))
+    bone_of_child = {}
+    for j, (a, c) in enumerate(skeleton.bones):
+        if a != c:
+            bone_of_child[int(c)] = j
+    order = []
+    pending = list(range(skeleton.num_joints))
+    placed = np.zeros(skeleton.num_joints, dtype=bool)
+    while pending:
+        rest = []
+        for j in pending:
+            p = int(skeleton.parents[j])
+            if p < 0 or placed[p]:
+                order.append(j)
+                placed[j] = True
+            else:
+                rest.append(j)
+        pending = rest
+    out = np.tile(np.eye(4), (b, 1, 1))
+    for j in order:
+        p = int(skeleton.parents[j])
+        if p < 0:
+            continue
+        bone = bone_of_child[j]
+        local = _about_point(
+            _axis_angle_matrix(pose.axes[bone], float(pose.angles[bone])),
+            skeleton.positions[p],
+        )
+        joint_tf[j] = joint_tf[p] @ local
+        out[bone] = joint_tf[j]
+    for bone in np.flatnonzero(skeleton.is_helper()):
+        j = int(skeleton.bones[bone, 0])
+        local = _about_point(
+            _axis_angle_matrix(pose.axes[bone], float(pose.angles[bone])),
+            skeleton.positions[j],
+        )
+        out[bone] = joint_tf[j] @ local
+    return out
+
+
+def _reference_lbs_deform(vertices, weights, transforms):
+    """One pose's (B, 4, 4) transforms."""
+    out = np.zeros_like(vertices)
+    dense = weights.to_dense()
+    for j in range(len(transforms)):
+        col = dense[:, j]
+        if not col.any():
+            continue
+        r, t = transforms[j, :3, :3], transforms[j, :3, 3]
+        out += col[:, None] * (vertices @ r.T + t)
+    return out
+
+
+def _reference_distance_error(rig, pred, gt, poses):
+    total = 0.0
+    for pose in poses:
+        tf = _reference_forward_kinematics(rig.skeleton, pose)
+        a = _reference_lbs_deform(rig.mesh.vertices, pred, tf)
+        b = _reference_lbs_deform(rig.mesh.vertices, gt, tf)
+        total += float(np.linalg.norm(a - b, axis=1).mean())
+    return total / len(poses)
+
+
+def _reference_precision_recall(pred, gt, tau):
+    hit = n_pred = n_gt = 0
+    for i in range(len(pred)):
+        p = {int(j) for j, w in zip(pred.indices[i], pred.values[i]) if w > tau}
+        g = {int(j) for j, w in zip(gt.indices[i], gt.values[i]) if w > tau}
+        hit += len(p & g)
+        n_pred += len(p)
+        n_gt += len(g)
+    return (hit / n_pred if n_pred else 1.0), (hit / n_gt if n_gt else 1.0)
+
+
+def _stack(poses):
+    return Pose(np.stack([p.axes for p in poses]), np.stack([p.angles for p in poses]))
+
+
 def identity_pose(num_bones):
     return Pose.identity(num_bones)
 
@@ -60,6 +163,31 @@ class TestForwardKinematics:
         assert np.allclose(tf[1], t1, atol=1e-12)
         # the helper bone at the leaf inherits the full chain transform
         assert np.allclose(tf[2], t1, atol=1e-12)
+
+    # parents listed after their children; [1, 2, -1] lists a bone before
+    # the bone it hangs from, so composing in bone order would read an
+    # unfinished joint transform
+    @pytest.mark.parametrize("parents", [[2, 0, -1], [1, 2, -1], [2, 4, 5, -1, 3, 3]])
+    def test_joint_order_does_not_matter(self, parents):
+        n = len(parents)
+        positions = np.random.default_rng(n).normal(size=(n, 3))
+        skel = chain_skeleton(positions, parents)
+        # relabel the joints parent-first
+        old_of_new = np.argsort(skel.depths, kind="stable")
+        new_of_old = np.argsort(old_of_new)
+        in_order = chain_skeleton(
+            positions[old_of_new], [-1 if parents[o] < 0 else new_of_old[parents[o]] for o in old_of_new])
+        assert np.all(in_order.parents < np.arange(n))
+        # bone of in_order for each bone of skel, matched by relabelled end points
+        pairs = [tuple(bone) for bone in in_order.bones.tolist()]
+        match = [pairs.index((new_of_old[a], new_of_old[c])) for a, c in skel.bones]
+        sampled = skinlab.sample_poses(skel, count=6, seed=n, fraction=1.0)
+        poses = _stack(sampled)
+        axes, angles = np.zeros_like(poses.axes), np.zeros_like(poses.angles)
+        axes[:, match], angles[:, match] = poses.axes, poses.angles
+        got = skinlab.forward_kinematics(skel, poses)
+        assert np.array_equal(got, skinlab.forward_kinematics(in_order, Pose(axes, angles))[:, match])
+        assert np.array_equal(got, np.stack([_reference_forward_kinematics(skel, p) for p in sampled]))
 
 
 class TestLBS:
@@ -213,6 +341,18 @@ class TestDistanceError:
         poses = [Pose.identity(3)]
         assert skinlab.distance_error(rig, other, rig.weights, poses) == 0.0
 
+    def test_one_fk_and_two_lbs_calls(self, monkeypatch):
+        # looked up as module names, so wrappers around them see every call
+        rig = self._rig_with_weights()
+        calls = []
+        for name in ("forward_kinematics", "lbs_deform"):
+            fn = getattr(skinlab, name)
+            monkeypatch.setattr(skinlab, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        poses = skinlab.sample_poses(rig.skeleton, count=5, seed=2)
+        skinlab.evaluate(rig, rig.weights, rig.weights, poses)
+        assert calls == ["forward_kinematics", "lbs_deform", "lbs_deform"]
+
     def test_manual_two_bone_case(self):
         rig = self._rig_with_weights()
         gt = rig.weights
@@ -247,6 +387,53 @@ class TestEvaluate:
         assert report.dist_err == 0.0
         d = report.as_dict()
         assert set(d) == {"precision", "recall", "l1_norm", "dist_err"}
+
+
+class TestPoseStacks:
+    """Pose stacks and single poses against the per-pose reference loops."""
+
+    @pytest.fixture(scope="class", params=[(0.0, 3), (1.0, 4), (1.0, 7)],
+                    ids=["closed", "props-4", "props-7"])
+    def case(self, request):
+        # prop and antenna probability, seed
+        share, seed = request.param
+        cfg = synthgen.SynthConfig(resolution=32, prop_probability=share,
+                                   antenna_probability=share)
+        rig = synthgen.gen_character(cfg, seed)
+        rng = np.random.default_rng(seed)
+        shape = (rig.mesh.num_vertices, rig.skeleton.num_bones)
+        dense = rng.uniform(size=shape) * (rng.uniform(size=shape) < 0.3)
+        dense[:, 0] += 1e-3  # no empty rows
+        pred = WeightRows.from_dense(dense / dense.sum(axis=1, keepdims=True))
+        return rig, pred, skinlab.sample_poses(rig.skeleton, count=24, seed=seed)
+
+    def test_forward_kinematics(self, case):
+        rig, _, poses = case
+        want = np.stack([_reference_forward_kinematics(rig.skeleton, p) for p in poses])
+        for p, w in zip(poses, want):
+            assert np.array_equal(skinlab.forward_kinematics(rig.skeleton, p), w)
+        stack = _stack(poses)
+        assert np.array_equal(skinlab.forward_kinematics(rig.skeleton, stack), want)
+        square = Pose(stack.axes.reshape(4, 6, -1, 3), stack.angles.reshape(4, 6, -1))
+        assert np.array_equal(skinlab.forward_kinematics(rig.skeleton, square),
+                              want.reshape(4, 6, *want.shape[1:]))
+
+    def test_lbs_deform(self, case):
+        rig, pred, poses = case
+        tfs = np.stack([_reference_forward_kinematics(rig.skeleton, p) for p in poses])
+        want = np.stack([_reference_lbs_deform(rig.mesh.vertices, pred, tf) for tf in tfs])
+        for tf, w in zip(tfs, want):
+            assert np.array_equal(skinlab.lbs_deform(rig.mesh.vertices, pred, tf), w)
+        assert np.array_equal(skinlab.lbs_deform(rig.mesh.vertices, pred, tfs), want)
+
+    def test_distance_error_and_precision_recall(self, case):
+        rig, pred, poses = case
+        for subset in (poses[:1], poses):
+            assert (skinlab.distance_error(rig, pred, rig.weights, subset)
+                    == _reference_distance_error(rig, pred, rig.weights, subset))
+        for tau in (1e-4, 0.05, 0.5):
+            assert (skinlab.precision_recall(pred, rig.weights, tau)
+                    == _reference_precision_recall(pred, rig.weights, tau))
 
 
 class TestTopkCoverage:

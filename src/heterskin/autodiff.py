@@ -147,23 +147,28 @@ class SegmentLayout:
         self.slots = slots
 
 
-def _layout(idx, num: int) -> SegmentLayout:
-    if isinstance(idx, SegmentLayout):
-        if idx.num != num:
-            raise AutodiffError(f"segment layout over {idx.num} segments used for {num}")
-        return idx
-    return SegmentLayout(idx, num)
+def _require_rows(a: Tensor, lay: SegmentLayout) -> None:
+    if a.value.shape[0] != lay.idx.size:
+        raise AutodiffError(f"segment layout over {lay.idx.size} rows used for an input "
+                            f"of {a.value.shape[0]}")
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Rows ``a[idx]``; ``idx`` is an index array or a `SegmentLayout` over
-    the rows of ``a``."""
-    lay = _layout(idx, a.value.shape[0])
+def gather_rows(a: Tensor, lay: SegmentLayout) -> Tensor:
+    """Rows ``a[lay.idx]``; ``lay`` is a layout over the rows of ``a``."""
+    if lay.num != a.value.shape[0]:
+        raise AutodiffError(f"segment layout over {lay.num} segments used for "
+                            f"{a.value.shape[0]} rows")
 
     def bw(g):
         return (lay.incidence @ g,)
 
     return _make(a.value[lay.idx], (a,), bw, "gather_rows")
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    """The entries of ``a`` in C order, in a new shape."""
+    return _make(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),),
+                 "reshape")
 
 
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
@@ -174,10 +179,10 @@ def broadcast_rows(a: Tensor, n: int) -> Tensor:
                  lambda g: (g.sum(axis=0, keepdims=True),), "broadcast_rows")
 
 
-def segment_max(a: Tensor, idx, num: int) -> Tensor:
+def segment_max(a: Tensor, lay: SegmentLayout) -> Tensor:
     """Per-segment column-wise max; empty segments yield 0 (no gradient).
     Gradient routes to the first argmax element of each segment."""
-    lay = _layout(idx, num)
+    _require_rows(a, lay)
     e, f = a.value.shape
     padded = np.concatenate([a.value, np.full((1, f), -np.inf)])
     buf = padded[lay.slots]  # (num, width, F); padding slots read -inf
@@ -204,8 +209,8 @@ def segment_max(a: Tensor, idx, num: int) -> Tensor:
     return _make(out, (a,), bw, "segment_max")
 
 
-def segment_mean(a: Tensor, idx, num: int) -> Tensor:
-    lay = _layout(idx, num)
+def segment_mean(a: Tensor, lay: SegmentLayout) -> Tensor:
+    _require_rows(a, lay)
     out = (lay.incidence @ a.value) / lay.denom
 
     def bw(g):
@@ -214,9 +219,9 @@ def segment_mean(a: Tensor, idx, num: int) -> Tensor:
     return _make(out, (a,), bw, "segment_mean")
 
 
-def segment_var(a: Tensor, idx, num: int) -> Tensor:
+def segment_var(a: Tensor, lay: SegmentLayout) -> Tensor:
     """Biased (1/n) per-segment variance; empty segments yield 0."""
-    lay = _layout(idx, num)
+    _require_rows(a, lay)
     mean = (lay.incidence @ a.value) / lay.denom
     sq = lay.incidence @ a.value ** 2
     out = np.maximum(sq / lay.denom - mean ** 2, 0.0)

@@ -12,7 +12,6 @@ import zlib
 import numpy as np
 
 from . import hollowdist, model, rigcore, skinlab, synthgen, voxelize
-from .hgraph import build_graph
 
 
 def _bundled_openblas():
@@ -45,6 +44,29 @@ def _read_weights(path) -> rigcore.WeightRows:
     if not isinstance(doc, dict) or not {"rows", "num_bones"} <= doc.keys():
         raise rigcore.RigError(f"{path}: a weights file needs \"rows\" and \"num_bones\"")
     return rigcore.WeightRows.from_pairs(doc["rows"], doc["num_bones"])
+
+
+def _read_distances(path, rig: rigcore.Rig) -> tuple[np.ndarray, int]:
+    """The distance matrix of a merged rig and the grid resolution it was
+    computed at, as `cmd_hollowdist` writes them."""
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict) or not {"distances", "resolution"} <= doc.keys():
+        raise rigcore.RigError(f'{path}: a distances file needs "distances" and "resolution"')
+    resolution = doc["resolution"]
+    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 4:
+        raise rigcore.RigError(f"{path}: resolution {resolution!r} is not an integer >= 4")
+    try:
+        d = np.asarray(doc["distances"], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise rigcore.RigError(f"{path}: distances must be a matrix of numbers") from e
+    want = (rig.mesh.num_vertices, rig.skeleton.num_bones)
+    if d.shape != want:
+        raise rigcore.RigError(f"{path}: distances have shape {d.shape}, but the merged rig "
+                               f"has {want[0]} vertices and {want[1]} bones")
+    if not np.all(d >= 0):
+        raise rigcore.RigError(f"{path}: distances must be non-negative numbers")
+    return d, resolution
 
 
 def _read_pose(path, num_bones: int) -> skinlab.Pose:
@@ -124,7 +146,8 @@ def cmd_hollowdist(args) -> int:
                                in hollowdist.bone_fields(merged, grid)])
     d = np.stack(columns, axis=1)
     with open(args.out, "w") as f:
-        json.dump({"distances": d.tolist(), "bone_fields": summaries}, f)
+        json.dump({"resolution": args.resolution, "distances": d.tolist(),
+                   "bone_fields": summaries}, f)
         f.write("\n")
     print(f"distance matrix {d.shape[0]}x{d.shape[1]} -> {args.out}")
     return 0
@@ -133,9 +156,9 @@ def cmd_hollowdist(args) -> int:
 def cmd_graph(args) -> int:
     rig = rigcore.load_rig(args.rig)
     merged, _ = rigcore.merge_rig(rig)
-    with open(args.dist) as f:
-        d = np.asarray(json.load(f)["distances"])
-    graph = build_graph(merged.mesh, merged.skeleton, d, args.k, args.geo_threshold)
+    d, resolution = _read_distances(args.dist, merged)
+    h = model.HyperParams(k=args.k, geo_threshold=args.geo_threshold, resolution=resolution)
+    graph = model.rig_graph(merged, d, h)
     def checksum(a):
         return zlib.crc32(np.ascontiguousarray(a).tobytes())
     doc = {

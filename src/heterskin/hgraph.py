@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,8 +16,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .autodiff import SegmentLayout
 from .rigcore import Mesh, Skeleton
-
-EPS_DIST = 1e-6  # clamp for inverse distances (vertices on bones)
 
 
 def directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,22 +49,6 @@ def edge_layouts(edges: tuple[np.ndarray, np.ndarray],
     node's incoming messages, dst gathers their senders."""
     src, dst = edges
     return SegmentLayout(src, n), SegmentLayout(dst, n)
-
-
-class TopKLayouts(NamedTuple):
-    """Layouts of an (N, K) Top-K bone table; slot i*K + j binds vertex i
-    to bone topk[i, j]."""
-
-    vertex_of_slot: SegmentLayout  # over the N vertices
-    bone_of_slot: SegmentLayout  # over the B bones
-    columns: tuple[SegmentLayout, ...]  # topk[:, j] over the B bones
-
-    @classmethod
-    def build(cls, topk: np.ndarray, num_bones: int) -> "TopKLayouts":
-        n, k = topk.shape
-        return cls(SegmentLayout(np.repeat(np.arange(n), k), n),
-                   SegmentLayout(topk.reshape(-1), num_bones),
-                   tuple(SegmentLayout(col, num_bones) for col in topk.T))
 
 
 @dataclass
@@ -108,8 +89,12 @@ class HeterGraph:
         return edge_layouts(directed_edges(self.skel_edges, self.num_bones), self.num_bones)
 
     @cached_property
-    def topk_layouts(self) -> TopKLayouts:
-        return TopKLayouts.build(self.topk, self.num_bones)
+    def topk_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
+        """Slot i*K + j binds vertex i to bone topk[i, j]: the first layout
+        is over the N vertices, the second over the B bones."""
+        n, k = self.topk.shape
+        return (SegmentLayout(np.repeat(np.arange(n), k), n),
+                SegmentLayout(self.topk.reshape(-1), self.num_bones))
 
     @cached_property
     def pool_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
@@ -128,7 +113,8 @@ def topk_bones(d: np.ndarray, k: int) -> np.ndarray:
 
 
 def vertex_attributes(positions: np.ndarray, d: np.ndarray, topk: np.ndarray,
-                      eps: float = EPS_DIST) -> np.ndarray:
+                      eps: float) -> np.ndarray:
+    """Positions, then the inverse of each Top-K distance clamped below at eps."""
     nearest = np.take_along_axis(d, topk, axis=1)
     inv = 1.0 / np.maximum(nearest, eps)
     return np.concatenate([positions, inv], axis=1)
@@ -203,9 +189,8 @@ def mesh_laplacian(mesh: Mesh) -> sp.csr_matrix:
     return (deg - adj).tocsr()
 
 
-def build_graph(mesh: Mesh, skeleton: Skeleton, d: np.ndarray, k: int = 3,
-                geo_threshold: float = 0.06, geo_cap: int = 32,
-                eps: float = EPS_DIST) -> HeterGraph:
+def build_graph(mesh: Mesh, skeleton: Skeleton, d: np.ndarray, k: int,
+                geo_threshold: float, geo_cap: int, eps: float) -> HeterGraph:
     tk = topk_bones(d, k)
     return HeterGraph(
         mesh_edges=mesh.edges(),

@@ -15,8 +15,8 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
-from .hgraph import HeterGraph, TopKLayouts, build_graph, directed_edges, edge_layouts
+from .autodiff import SegmentLayout, Tensor
+from .hgraph import HeterGraph, build_graph, directed_edges, edge_layouts
 from .hollowdist import compute_all, euclidean_all
 from .rigcore import Rig, RigError, WeightRows, merge_rig
 from .voxelize import build_grid, voxelize_mesh
@@ -101,14 +101,15 @@ def init_params(h: HyperParams, seed: int = 0) -> dict[str, Tensor]:
 # layer operators
 
 
-def edge_conv(f: Tensor, src, dst, w: Tensor, alpha: float) -> Tensor:
-    """Max over neighbors j of MLP(f_i || f_i - f_j), over directed edges
-    given as index arrays or segment layouts."""
+def edge_conv(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor,
+              alpha: float) -> Tensor:
+    """Max over neighbors j of MLP(f_i || f_i - f_j), over the directed
+    edges of an `edge_layouts` pair."""
     fi = ad.gather_rows(f, src)
     fj = ad.gather_rows(f, dst)
     h = ad.concat_cols([fi, ad.sub(fi, fj)])
     h = ad.leaky_relu(ad.matmul(h, w), alpha)
-    return ad.segment_max(h, src, f.value.shape[0])
+    return ad.segment_max(h, src)
 
 
 def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
@@ -118,30 +119,37 @@ def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
     return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), alpha)
 
 
-def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: TopKLayouts, w: Tensor, alpha: float,
-                   var_scale: float) -> Tensor:
+def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
+                   w: Tensor, alpha: float, var_scale: float) -> Tensor:
     """Bones gather max/mean/damped-variance over their influenced vertices."""
-    slot_feats = ad.gather_rows(f_v, topk.vertex_of_slot)
-    bones = topk.bone_of_slot
-    mx = ad.segment_max(slot_feats, bones, bones.num)
-    mean = ad.segment_mean(slot_feats, bones, bones.num)
-    var = ad.scale(ad.segment_var(slot_feats, bones, bones.num), var_scale)
+    vertex_of_slot, bone_of_slot = topk
+    slot_feats = ad.gather_rows(f_v, vertex_of_slot)
+    mx = ad.segment_max(slot_feats, bone_of_slot)
+    mean = ad.segment_mean(slot_feats, bone_of_slot)
+    var = ad.scale(ad.segment_var(slot_feats, bone_of_slot), var_scale)
     h = ad.concat_cols([f_b, mx, mean, var])
     return ad.leaky_relu(ad.matmul(h, w), alpha)
 
 
-def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: TopKLayouts, w: Tensor,
-                   alpha: float) -> Tensor:
+def topk_features(f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout]) -> Tensor:
+    """(N, K*F): each vertex's Top-K bone rows side by side, nearest first,
+    from one gather over the slots."""
+    vertex_of_slot, bone_of_slot = topk
+    return ad.reshape(ad.gather_rows(f_b, bone_of_slot), (vertex_of_slot.num, -1))
+
+
+def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
+                   w: Tensor, alpha: float) -> Tensor:
     """Vertices concatenate their Top-K bones' features in distance order."""
-    parts = [f_v] + [ad.gather_rows(f_b, col) for col in topk.columns]
-    return ad.leaky_relu(ad.matmul(ad.concat_cols(parts), w), alpha)
+    h = ad.concat_cols([f_v, topk_features(f_b, topk)])
+    return ad.leaky_relu(ad.matmul(h, w), alpha)
 
 
-def global_branch(f: Tensor, pool, w: Tensor, alpha: float) -> Tensor:
+def global_branch(f: Tensor, pool: SegmentLayout, w: Tensor, alpha: float) -> Tensor:
     """Max-pool over all rows of f (``pool`` puts every row in segment 0)."""
     if f.value.shape[0] == 0:
         raise ad.AutodiffError("global branch over an empty node set")
-    pooled = ad.segment_max(f, pool, 1)
+    pooled = ad.segment_max(f, pool)
     return ad.leaky_relu(ad.matmul(pooled, w), alpha)
 
 
@@ -168,13 +176,12 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     geo, skel, topk = graph.geo_layouts, graph.skel_layouts, graph.topk_layouts
     vertex_pool, bone_pool = graph.pool_layouts
 
-    f_v = Tensor(graph.vertex_attr)
-    f_b = Tensor(graph.bone_attr)
+    bone_attr = Tensor(graph.bone_attr)
 
     # lift raw attributes through the first inter-graph convolution
-    f_v = bone_to_vertex(f_v, f_b, topk, params["inter0.b2v"], alpha)
-    f_b = vertex_to_bone(f_v, Tensor(graph.bone_attr), topk, params["inter0.v2b"], alpha,
-                         h.var_scale)
+    f_v = bone_to_vertex(Tensor(graph.vertex_attr), bone_attr, topk, params["inter0.b2v"],
+                         alpha)
+    f_b = vertex_to_bone(f_v, bone_attr, topk, params["inter0.v2b"], alpha, h.var_scale)
 
     f_v = mesh_conv(f_v, ring, geo, params["mesh0.ring"],
                     params["mesh0.geo"], params["mesh0.merge"], alpha)
@@ -191,9 +198,8 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
         f_b = vertex_to_bone(f_v, f_b, topk, params[f"stage{s}.inter.v2b"], alpha,
                              h.var_scale)
 
-    bone_locals = [ad.gather_rows(f_b, col) for col in topk.columns]
-    feat = ad.concat_cols([f_v] + bone_locals +
-                          [ad.broadcast_rows(g_v, n), ad.broadcast_rows(g_b, n)])
+    feat = ad.concat_cols([f_v, topk_features(f_b, topk),
+                           ad.broadcast_rows(g_v, n), ad.broadcast_rows(g_b, n)])
 
     num_final = len(h.final_dims) + 1
     for i in range(num_final):
@@ -261,11 +267,16 @@ def attribute_clamp(rig: Rig, h: HyperParams) -> float:
     return max(build_grid(rig.mesh, h.resolution).cell_size / 2, 1e-6)
 
 
+def rig_graph(rig: Rig, d: np.ndarray, h: HyperParams) -> HeterGraph:
+    """The graph of a merged rig over its (N, B) distance matrix ``d``; the
+    one builder behind training, prediction and ``heterskin graph``."""
+    return build_graph(rig.mesh, rig.skeleton, d, h.k, h.geo_threshold, h.geo_cap,
+                       attribute_clamp(rig, h))
+
+
 def prepare_sample(rig: Rig, h: HyperParams, merge_tol: float = 1e-6) -> TrainSample:
     rig, _ = merge_rig(rig, merge_tol)
-    d = distance_matrix(rig, h)
-    graph = build_graph(rig.mesh, rig.skeleton, d, h.k, h.geo_threshold, h.geo_cap,
-                        eps=attribute_clamp(rig, h))
+    graph = rig_graph(rig, distance_matrix(rig, h), h)
     if rig.weights is None:
         raise ValueError(f"rig {rig.name!r} has no ground-truth weights")
     return TrainSample(rig.name, graph, project_ground_truth(rig.weights, graph.topk),
@@ -314,10 +325,7 @@ def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams,
     """Full pipeline on an unmerged rig; merged-away vertices receive the
     surviving vertex's prediction."""
     merged, mapping = merge_rig(rig, merge_tol)
-    d = distance_matrix(merged, h)
-    graph = build_graph(merged.mesh, merged.skeleton, d, h.k, h.geo_threshold, h.geo_cap,
-                        eps=attribute_clamp(merged, h))
-    rows = predict_from_graph(graph, params, h)
+    rows = predict_from_graph(rig_graph(merged, distance_matrix(merged, h), h), params, h)
     idx = tuple(rows.indices[mapping[i]] for i in range(rig.mesh.num_vertices))
     val = tuple(rows.values[mapping[i]] for i in range(rig.mesh.num_vertices))
     return WeightRows(idx, val, rows.num_bones)

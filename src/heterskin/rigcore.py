@@ -146,6 +146,9 @@ class WeightRows:
 
     @classmethod
     def from_pairs(cls, rows, num_bones, renorm_tol=1e-4) -> "WeightRows":
+        if (isinstance(num_bones, bool) or not isinstance(num_bones, (int, np.integer))
+                or num_bones < 1):
+            raise RigError(f"num_bones {num_bones!r} is not an integer >= 1")
         idx, val = [], []
         for i, row in enumerate(rows):
             try:

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from heterskin import model, rigcore, synthgen
+from heterskin import model, synthgen
 
 # desk-scale network: same architecture, small dims so tests stay fast
 TINY = model.HyperParams(
@@ -29,35 +28,3 @@ def small_rig():
 @pytest.fixture(scope="session")
 def small_sample(small_rig, tiny_hyper):
     return model.prepare_sample(small_rig, tiny_hyper)
-
-
-def chain_skeleton(positions, parents=None, names=None):
-    positions = np.asarray(positions, dtype=np.float64)
-    n = len(positions)
-    if parents is None:
-        parents = [-1] + list(range(n - 1))
-    if names is None:
-        names = [f"j{i}" for i in range(n)]
-    return rigcore.Skeleton.build(names, positions, parents)
-
-
-def tube_rig(length=1.0, radius=0.1, segments=12, rings=9):
-    """Hand-built cylinder along +y with a 2-joint chain, no weights."""
-    verts = []
-    tris = []
-    for iy in range(rings):
-        y = length * iy / (rings - 1)
-        for ia in range(segments):
-            a = 2.0 * np.pi * ia / segments
-            verts.append([radius * np.cos(a), y, radius * np.sin(a)])
-    for iy in range(rings - 1):
-        for ia in range(segments):
-            a0 = iy * segments + ia
-            a1 = iy * segments + (ia + 1) % segments
-            b0 = a0 + segments
-            b1 = a1 + segments
-            tris.append([a0, b0, a1])
-            tris.append([a1, b0, b1])
-    mesh = rigcore.Mesh(np.array(verts), np.array(tris, dtype=np.int64))
-    skel = chain_skeleton([[0, 0, 0], [0, length / 2, 0], [0, length, 0]])
-    return rigcore.Rig(mesh=mesh, skeleton=skel, weights=None, name="tube")

@@ -178,7 +178,7 @@ def test_criterion_04_gradient_verification():
         assert max_relative_error(grads["p"], numeric) < 1e-4
 
     other = rng.standard_normal((4, 3))
-    seg = np.array([0, 1, 0, 2])
+    seg = ad.SegmentLayout([0, 1, 0, 2], 3)
     sq = lambda t: ad.mul(t, t)
     cases = [
         (lambda p: ad.tsum(ad.matmul(Tensor(other), p)), rng.standard_normal((3, 2))),
@@ -191,9 +191,11 @@ def test_criterion_04_gradient_verification():
         (lambda p: ad.tsum(sq(ad.concat_cols([p, Tensor(other)]))), rng.standard_normal((4, 2))),
         (lambda p: ad.tsum(sq(ad.gather_rows(p, seg))), rng.standard_normal((3, 2))),
         (lambda p: ad.tsum(sq(ad.broadcast_rows(p, 4))), rng.standard_normal((1, 3))),
-        (lambda p: ad.tsum(sq(ad.segment_max(p, seg, 3))), rng.standard_normal((4, 2)) + np.arange(4)[:, None]),
-        (lambda p: ad.tsum(sq(ad.segment_mean(p, seg, 3))), rng.standard_normal((4, 2))),
-        (lambda p: ad.tsum(sq(ad.segment_var(p, seg, 3))), rng.standard_normal((4, 2))),
+        # built without drawing from rng, so every later case keeps its inputs
+        (lambda p: ad.tsum(ad.mul(ad.reshape(p, (2, -1)), Tensor(other.reshape(2, 6)))), other[::-1].copy()),
+        (lambda p: ad.tsum(sq(ad.segment_max(p, seg))), rng.standard_normal((4, 2)) + np.arange(4)[:, None]),
+        (lambda p: ad.tsum(sq(ad.segment_mean(p, seg))), rng.standard_normal((4, 2))),
+        (lambda p: ad.tsum(sq(ad.segment_var(p, seg))), rng.standard_normal((4, 2))),
         (lambda p: ad.tsum(ad.mul(ad.row_softmax(p), Tensor(other))), rng.standard_normal((4, 3))),
         (lambda p: ad.tsum(sq(ad.scatter_cols(p, np.array([[0, 2], [1, 0], [2, 1], [0, 1]]), 3))), rng.standard_normal((4, 2))),
     ]
@@ -314,7 +316,7 @@ def test_criterion_10_metric_unit_suite():
     b = WeightRows.from_pairs([[(1, 1.0)]], num_bones=2)
     assert skinlab.l1_norm(a, b) == 2.0
 
-    from conftest import tube_rig
+    from handbuilt import tube_rig
 
     rig = tube_rig()
     n = len(rig.mesh.vertices)

@@ -44,17 +44,17 @@ class TestForwardValues:
 
     def test_segment_statistics(self):
         x = param([[1.0], [5.0], [3.0]])
-        idx = np.array([0, 0, 1])
-        assert ad.segment_max(x, idx, 2).value.tolist() == [[5.0], [3.0]]
-        assert ad.segment_mean(x, idx, 2).value.tolist() == [[3.0], [3.0]]
-        assert ad.segment_var(x, idx, 2).value.tolist() == [[4.0], [0.0]]
+        lay = ad.SegmentLayout([0, 0, 1], 2)
+        assert ad.segment_max(x, lay).value.tolist() == [[5.0], [3.0]]
+        assert ad.segment_mean(x, lay).value.tolist() == [[3.0], [3.0]]
+        assert ad.segment_var(x, lay).value.tolist() == [[4.0], [0.0]]
 
     def test_empty_segment_zeros(self):
         x = param([[2.0]])
-        idx = np.array([1])
-        assert ad.segment_max(x, idx, 2).value.tolist() == [[0.0], [2.0]]
-        assert ad.segment_mean(x, idx, 2).value.tolist() == [[0.0], [2.0]]
-        assert ad.segment_var(x, idx, 2).value.tolist() == [[0.0], [0.0]]
+        lay = ad.SegmentLayout([1], 2)
+        assert ad.segment_max(x, lay).value.tolist() == [[0.0], [2.0]]
+        assert ad.segment_mean(x, lay).value.tolist() == [[0.0], [2.0]]
+        assert ad.segment_var(x, lay).value.tolist() == [[0.0], [0.0]]
 
     def test_dropout_scaling(self):
         rng = np.random.default_rng(0)
@@ -127,18 +127,26 @@ class TestPrimitiveGradients:
         rng = np.random.default_rng(13)
         other = rng.standard_normal((4, 2))
         check_gradient(lambda p: ad.tsum(ad.mul(ad.concat_cols([p, Tensor(other)]), ad.concat_cols([p, Tensor(other)]))), rng.standard_normal((4, 3)))
-        idx = np.array([2, 0, 1, 2])
+        idx = ad.SegmentLayout([2, 0, 1, 2], 3)
         check_gradient(lambda p: ad.tsum(ad.mul(ad.gather_rows(p, idx), ad.gather_rows(p, idx))), rng.standard_normal((3, 2)))
         check_gradient(lambda p: ad.tsum(ad.mul(ad.broadcast_rows(p, 5), ad.broadcast_rows(p, 5))), rng.standard_normal((1, 3)))
 
     def test_segment_reductions(self):
         rng = np.random.default_rng(15)
-        idx = np.array([0, 1, 0, 2, 1])
+        idx = ad.SegmentLayout([0, 1, 0, 2, 1], 3)
         x = rng.standard_normal((5, 3))
         # keep argmax unique so the subgradient choice is differentiable
         x[2] += 3.0
         for op in (ad.segment_max, ad.segment_mean, ad.segment_var):
-            check_gradient(lambda p, op=op: ad.tsum(ad.mul(op(p, idx, 3), op(p, idx, 3))), x)
+            check_gradient(lambda p, op=op: ad.tsum(ad.mul(op(p, idx), op(p, idx))), x)
+
+    def test_reshape(self):
+        rng = np.random.default_rng(16)
+        weights = rng.standard_normal((2, 6))
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (2, -1)), Tensor(weights))),
+                       rng.standard_normal((4, 3)))
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (6, 2)), ad.reshape(p, (6, 2)))),
+                       rng.standard_normal((3, 4)))
 
     def test_row_softmax(self):
         rng = np.random.default_rng(17)
@@ -324,24 +332,24 @@ class TestSegmentLayoutEquivalence:
         assert got_g.tobytes() == want_g.tobytes()
 
     @settings(derandomize=True, deadline=None, max_examples=400)
-    @given(case=_segment_case(), prebuilt=st.booleans(), data=st.data())
-    def test_segment_ops_match_reference(self, case, prebuilt, data):
+    @given(case=_segment_case(), data=st.data())
+    def test_segment_ops_match_reference(self, case, data):
         idx, num, f = case
         x = _matrix(data.draw, len(idx), f)
         g = _matrix(data.draw, num, f)
-        seg = ad.SegmentLayout(idx, num) if prebuilt else idx
+        seg = ad.SegmentLayout(idx, num)
         for op, ref in ((ad.segment_max, _reference_segment_max),
                         (ad.segment_mean, _reference_segment_mean),
                         (ad.segment_var, _reference_segment_var)):
-            self._check(op(Tensor(x), seg, num), ref(x, idx, num), g)
+            self._check(op(Tensor(x), seg), ref(x, idx, num), g)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(case=_segment_case(), prebuilt=st.booleans(), data=st.data())
-    def test_gather_rows_matches_reference(self, case, prebuilt, data):
+    @given(case=_segment_case(), data=st.data())
+    def test_gather_rows_matches_reference(self, case, data):
         idx, num, f = case
         a = _matrix(data.draw, num, f)
         g = _matrix(data.draw, len(idx), f)
-        rows = ad.SegmentLayout(idx, num) if prebuilt else idx
+        rows = ad.SegmentLayout(idx, num)
         self._check(ad.gather_rows(Tensor(a), rows), _reference_gather_rows(a, idx), g)
 
     def test_zero_max_takes_last_zero_sign(self):
@@ -351,13 +359,12 @@ class TestSegmentLayoutEquivalence:
                        [-0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -1.0, -0.0, 0.0, -2.0]):
             x = np.asarray(column)[:, None]
             want, _ = _reference_segment_max(x, np.zeros(len(x), dtype=np.int64), 1)
-            out = ad.segment_max(Tensor(x), np.zeros(len(x), dtype=np.int64), 1)
+            out = ad.segment_max(Tensor(x), ad.SegmentLayout(np.zeros(len(x), dtype=np.int64), 1))
             assert out.value.tobytes() == want.tobytes()
 
     def test_tie_routes_to_first_row(self):
         x = np.array([[1.0, -0.0], [3.0, 0.0], [3.0, 0.0], [3.0, -0.0]])
-        idx = np.array([1, 1, 1, 1])
-        out = ad.segment_max(Tensor(x), idx, 2)
+        out = ad.segment_max(Tensor(x), ad.SegmentLayout([1, 1, 1, 1], 2))
         assert out.value.tobytes() == np.array([[0.0, 0.0], [3.0, -0.0]]).tobytes()
         (grad,) = out.backward_fn(np.array([[5.0, 5.0], [7.0, 11.0]]))
         assert np.array_equal(grad, [[0.0, 11.0], [7.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
@@ -384,7 +391,16 @@ class TestSegmentLayout:
 
     def test_layout_over_other_count_rejected(self):
         lay = ad.SegmentLayout([0, 1], 2)
-        with pytest.raises(AutodiffError, match="2 segments used for 3"):
-            ad.segment_mean(Tensor(np.ones((2, 1))), lay, 3)
+        with pytest.raises(AutodiffError, match="2 rows used for an input of 3"):
+            ad.segment_mean(Tensor(np.ones((3, 1))), lay)
         with pytest.raises(AutodiffError, match="2 segments used for 4"):
             ad.gather_rows(Tensor(np.ones((4, 1))), lay)
+
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_segment_ops_reject_other_row_count(self, rows):
+        # a 3-row layout must not drop extra input rows or miss rows
+        lay = ad.SegmentLayout([0, 1, 1], 2)
+        x = Tensor(np.arange(float(rows))[:, None])
+        for op in (ad.segment_max, ad.segment_mean, ad.segment_var):
+            with pytest.raises(AutodiffError, match=f"3 rows used for an input of {rows}"):
+                op(x, lay)

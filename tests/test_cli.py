@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 import heterskin
-from heterskin import cli, hollowdist, rigcore, synthgen, voxelize
+from heterskin import cli, hollowdist, model, rigcore, synthgen, voxelize
 
 
 def run(argv):
@@ -21,6 +22,15 @@ def data_dir(tmp_path_factory):
         ["synth", "--count", "3", "--seed", "0", "--out", str(d), "--resolution", "32"]
     ) == 0
     return d
+
+
+@pytest.fixture(scope="module")
+def dist_file(data_dir, tmp_path_factory):
+    """`heterskin hollowdist` output for rig_00000 at R=32."""
+    out = tmp_path_factory.mktemp("dist") / "dist.json"
+    assert run(["hollowdist", "--rig", str(data_dir / "rig_00000.json"), "--resolution", "32",
+                "--out", str(out)]) == 0
+    return out
 
 
 FAST_TRAIN = [
@@ -60,6 +70,20 @@ class TestVoxelizeGraph:
         doc = json.loads(gout.read_text())
         assert doc["vertices"] > 0
         assert doc["bones"] > 0
+
+    def test_graph_is_the_training_graph(self, data_dir, dist_file, tmp_path):
+        # `graph` reads the resolution `hollowdist` wrote, so it clamps the
+        # inverse distances as training and prediction do
+        rig = data_dir / "rig_00000.json"
+        assert json.loads(dist_file.read_text())["resolution"] == 32
+        gout = tmp_path / "graph.json"
+        assert run(["graph", "--rig", str(rig), "--dist", str(dist_file), "--k", "3",
+                    "--out", str(gout)]) == 0
+        doc = json.loads(gout.read_text())
+        want = model.prepare_sample(rigcore.load_rig(rig), model.HyperParams(resolution=32)).graph
+        for key, array in (("vertex_attr_crc32", want.vertex_attr),
+                           ("bone_attr_crc32", want.bone_attr), ("topk_crc32", want.topk)):
+            assert doc[key] == zlib.crc32(array.tobytes()), key
 
 
 class TestPipeline:
@@ -163,6 +187,11 @@ class TestErrors:
         ({"num_bones": 2}, 'needs "rows" and "num_bones"'),
         ({"num_bones": 2, "rows": [[[0, 1.0]], [["1", 1.0]]]},
          "weight row 1: bone index '1' is not an integer"),
+        ({"num_bones": "15", "rows": [[[0, 1.0]]]}, "num_bones '15' is not an integer >= 1"),
+        ({"num_bones": None, "rows": [[[0, 1.0]]]}, "num_bones None is not an integer >= 1"),
+        ({"num_bones": 15.5, "rows": [[[0, 1.0]]]}, "num_bones 15.5 is not an integer >= 1"),
+        ({"num_bones": True, "rows": [[[0, 1.0]]]}, "num_bones True is not an integer >= 1"),
+        ({"num_bones": 0, "rows": []}, "num_bones 0 is not an integer >= 1"),
     ])
     def test_malformed_weights_file(self, data_dir, tmp_path, capsys, doc, message):
         weights = tmp_path / "w.json"
@@ -174,6 +203,35 @@ class TestErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+
+    # each update replaces fields of a valid distances file; ... drops the field
+    @pytest.mark.parametrize("update, message", [
+        ({"distances": ...}, 'needs "distances" and "resolution"'),
+        ({"resolution": ...}, 'needs "distances" and "resolution"'),
+        ({"distances": [[1.0]]}, "distances have shape (1, 1), but the merged rig has"),
+        ({"distances": 2.0}, "distances have shape (), but the merged rig has"),
+        ({"distances": [[1.0, "far"]]}, "distances must be a matrix of numbers"),
+        ({"distances": [[1.0, 2.0], [1.0]]}, "distances must be a matrix of numbers"),
+        ({"resolution": "32"}, "resolution '32' is not an integer >= 4"),
+        ({"resolution": 3}, "resolution 3 is not an integer >= 4"),
+        ({"resolution": 32.0}, "resolution 32.0 is not an integer >= 4"),
+        ({"resolution": True}, "resolution True is not an integer >= 4"),
+        ({"resolution": None}, "resolution None is not an integer >= 4"),
+        ({"distances": "one negative"}, "distances must be non-negative numbers"),
+    ])
+    def test_malformed_distances_file(self, data_dir, dist_file, tmp_path, capsys,
+                                      update, message):
+        good = json.loads(dist_file.read_text())
+        doc = {**good, **update}
+        if doc["distances"] == "one negative":
+            doc["distances"] = good["distances"]
+            doc["distances"][3][1] = -0.5
+        bad = tmp_path / "dist.json"
+        bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        code = run(["graph", "--rig", str(data_dir / "rig_00000.json"), "--dist", str(bad),
+                    "--out", str(tmp_path / "graph.json")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     # each update replaces fields of a valid second entry; ... drops the field
     @pytest.mark.parametrize("update, message", [

@@ -4,7 +4,7 @@ import pytest
 from heterskin import hgraph
 from heterskin.rigcore import Mesh
 
-from conftest import chain_skeleton, tube_rig
+from handbuilt import chain_skeleton, tube_rig
 
 
 class TestTopkBones:
@@ -42,13 +42,13 @@ class TestVertexAttributes:
     def test_inverse_distance_arithmetic(self):
         d = np.array([[1.0, 2.0, 4.0]])
         topk = np.array([[0, 1, 2]])
-        attr = hgraph.vertex_attributes(np.zeros((1, 3)), d, topk)
+        attr = hgraph.vertex_attributes(np.zeros((1, 3)), d, topk, eps=1e-6)
         assert attr.tolist() == [[0, 0, 0, 1.0, 0.5, 0.25]]
 
     def test_zero_distance_clamped(self):
         d = np.array([[0.0, 1.0]])
         topk = np.array([[0, 1]])
-        attr = hgraph.vertex_attributes(np.zeros((1, 3)), d, topk)
+        attr = hgraph.vertex_attributes(np.zeros((1, 3)), d, topk, eps=1e-6)
         assert attr[0, 3] == pytest.approx(1e6)
         assert np.all(np.isfinite(attr))
 
@@ -56,7 +56,7 @@ class TestVertexAttributes:
         rng = np.random.default_rng(47)
         d = rng.uniform(0.01, 2.0, size=(40, 7))
         topk = hgraph.topk_bones(d, 3)
-        attr = hgraph.vertex_attributes(rng.standard_normal((40, 3)), d, topk)
+        attr = hgraph.vertex_attributes(rng.standard_normal((40, 3)), d, topk, eps=1e-6)
         inv = attr[:, 3:]
         assert np.all(np.diff(inv, axis=1) <= 1e-12)
         assert np.all(np.isfinite(attr))

@@ -8,7 +8,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from heterskin import hollowdist, synthgen, voxelize
 from heterskin.rigcore import Mesh, Rig
 
-from conftest import chain_skeleton, tube_rig
+from handbuilt import chain_skeleton, tube_rig
 from oracles import reference_bfs
 
 

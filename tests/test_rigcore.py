@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from heterskin import rigcore
 from heterskin.rigcore import Mesh, Rig, RigError, Skeleton, WeightRows
 
-from conftest import chain_skeleton
+from handbuilt import chain_skeleton
 from oracles import brute_force_dedup
 
 

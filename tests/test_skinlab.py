@@ -5,7 +5,7 @@ from heterskin import skinlab, synthgen
 from heterskin.rigcore import Rig, WeightRows
 from heterskin.skinlab import Pose
 
-from conftest import chain_skeleton, tube_rig
+from handbuilt import chain_skeleton, tube_rig
 
 
 # reference: evaluation one pose at a time, with a parent-first joint sort

@@ -88,8 +88,8 @@ def log(a: Tensor) -> Tensor:
 
 def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
     mask = a.value >= 0
-    slope = np.where(mask, 1.0, alpha)
-    return _make(a.value * slope, (a,), lambda g: (g * slope,), "leaky_relu")
+    return _make(np.where(mask, a.value, alpha * a.value), (a,),
+                 lambda g: (np.where(mask, g, alpha * g),), "leaky_relu")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -163,6 +163,35 @@ def gather_rows(a: Tensor, lay: SegmentLayout) -> Tensor:
         return (lay.incidence @ g,)
 
     return _make(a.value[lay.idx], (a,), bw, "gather_rows")
+
+
+def edge_linear(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Tensor:
+    """Rows ``[f_i || f_i - f_j] @ w`` over the directed edges (i, j) of an
+    edge layout pair, one row per edge, without building the per-edge
+    concat: with ``w = [w_top; w_bot]`` the row is
+    ``p[i] + (q[i] - q[j])`` for ``p = f @ w_top`` and ``q = f @ w_bot``,
+    two products over the nodes gathered per edge.  As in the concat form,
+    an edge whose ends have equal features gets ``p[i]`` exactly, with no
+    dependence on ``w_bot``."""
+    n, width = f.value.shape
+    if w.value.shape[0] != 2 * width:
+        raise AutodiffError(f"edge_linear weight {w.shape} for features {f.shape}")
+    if src.num != n or dst.num != n or src.idx.size != dst.idx.size:
+        raise AutodiffError(f"edge layouts over {src.num} and {dst.num} nodes, "
+                            f"{src.idx.size} and {dst.idx.size} edges, used for {n} nodes")
+    w_top, w_bot = w.value[:width], w.value[width:]
+    q = f.value @ w_bot
+    out = q[src.idx]
+    out -= q[dst.idx]
+    out += (f.value @ w_top)[src.idx]
+
+    def bw(g):
+        ga = src.incidence @ g
+        gd = ga - dst.incidence @ g
+        return (ga @ w_top.T + gd @ w_bot.T,
+                np.concatenate([f.value.T @ ga, f.value.T @ gd]))
+
+    return _make(out, (f, w), bw, "edge_linear")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -319,7 +348,8 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
         for p, g in zip(node.parents, parent_grads):
             if g is None:
                 continue
-            p.grad = 0.0 + g if p.grad is None else p.grad + g
+            # no op writes into a gradient, so the first one is stored as is
+            p.grad = g if p.grad is None else p.grad + g
     return {
         name: (t.grad if t.grad is not None else np.zeros_like(t.value))
         for name, t in params.items()
@@ -330,33 +360,66 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 # optimizer / init
 
 
+ADAM_BLOCK = 1 << 14  # elements per pass: a block of each of the six operands stays in L2
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    values: dict[str, np.ndarray] = field(default_factory=dict)  # the arrays it updates
     step: int = 0
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
               state: AdamState, lr: float = 1e-4, wd: float = 1e-4,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place Adam with decoupled weight decay applied before the update."""
+    """Adam with decoupled weight decay applied before the update.
+
+    A parameter's value, first and second moments are updated in place, in
+    blocks of `ADAM_BLOCK` elements through two scratch buffers, with the
+    float operations of the textbook whole-array form in the same order.
+    When a parameter's value is not the array this state last updated, it
+    is first copied into a C-contiguous array the state owns, so arrays the
+    caller holds are never written to.
+    """
     state.step += 1
     t = state.step
+    c1, c2 = 1 - beta1 ** t, 1 - beta2 ** t
+    a, b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in params.items():
         g = grads[name]
+        if g.shape != p.value.shape:
+            raise AutodiffError(f"gradient shape {g.shape} for parameter {name!r} "
+                                f"of shape {p.value.shape}")
         if not np.all(np.isfinite(g)):
             raise AutodiffError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.value)
-            state.v[name] = np.zeros_like(p.value)
-        if wd:
-            p.value = p.value - lr * wd * p.value
-        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+            state.m[name] = np.zeros(p.value.shape)
+            state.v[name] = np.zeros(p.value.shape)
+        if p.value is not state.values.get(name):
+            p.value = state.values[name] = np.array(p.value, dtype=np.float64, order="C")
+        flat = [x.reshape(-1) for x in (p.value, g, state.m[name], state.v[name])]
+        for lo in range(0, p.value.size, ADAM_BLOCK):
+            pb, gb, mb, vb = (x[lo:lo + ADAM_BLOCK] for x in flat)
+            ab, bb = a[:pb.size], b[:pb.size]
+            if wd:
+                np.multiply(lr * wd, pb, out=ab)  # p - lr * wd * p
+                pb -= ab
+            mb *= beta1  # m = beta1 * m + (1 - beta1) * g
+            np.multiply(1 - beta1, gb, out=ab)
+            mb += ab
+            vb *= beta2  # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(1 - beta2, gb, out=ab)
+            ab *= gb
+            vb += ab
+            np.divide(mb, c1, out=ab)  # p - lr * m_hat / (sqrt(v_hat) + eps)
+            np.multiply(lr, ab, out=ab)
+            np.divide(vb, c2, out=bb)
+            np.sqrt(bb, out=bb)
+            bb += eps
+            ab /= bb
+            pb -= ab
 
 
 def kaiming_normal(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:

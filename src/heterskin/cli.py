@@ -179,6 +179,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs < 1:
+        raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
     h = _hyper_from_args(args)
     paths = synthgen.load_manifest(args.data)
     if not paths:
@@ -192,7 +194,7 @@ def cmd_train(args) -> int:
             for epoch, value in enumerate(history):
                 f.write(f"{epoch}\t{value!r}\n")
     print(f"trained {args.epochs} epochs on {len(samples)} rigs; "
-          f"final loss {history[-1] if history else float('nan'):.6f} -> {args.out}")
+          f"final loss {history[-1]:.6f} -> {args.out}")
     return 0
 
 

@@ -45,8 +45,13 @@ class HyperParams:
     geo_cap: int = 32
 
     def __post_init__(self):
-        if self.k < 1 or self.vertex_local < 1 or self.bone_local < 1:
+        if min(self.k, self.vertex_local, self.vertex_global, self.bone_local,
+               self.bone_global, *self.final_dims) < 1:
             raise ValueError("feature dimensions and K must be >= 1")
+        if self.local_stages < 0:
+            raise ValueError(f"local_stages must be >= 0, got {self.local_stages}")
+        if self.geo_cap < 1:
+            raise ValueError(f"geo_cap must be >= 1, got {self.geo_cap}")
         if not (0 <= self.edge_dropout < 1 and 0 <= self.final_dropout < 1):
             raise ValueError("dropout rates must lie in [0, 1)")
         if self.lambda_smooth < 0:
@@ -105,11 +110,7 @@ def edge_conv(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor,
               alpha: float) -> Tensor:
     """Max over neighbors j of MLP(f_i || f_i - f_j), over the directed
     edges of an `edge_layouts` pair."""
-    fi = ad.gather_rows(f, src)
-    fj = ad.gather_rows(f, dst)
-    h = ad.concat_cols([fi, ad.sub(fi, fj)])
-    h = ad.leaky_relu(ad.matmul(h, w), alpha)
-    return ad.segment_max(h, src)
+    return ad.segment_max(ad.leaky_relu(ad.edge_linear(f, src, dst, w), alpha), src)
 
 
 def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
@@ -275,10 +276,10 @@ def rig_graph(rig: Rig, d: np.ndarray, h: HyperParams) -> HeterGraph:
 
 
 def prepare_sample(rig: Rig, h: HyperParams, merge_tol: float = 1e-6) -> TrainSample:
-    rig, _ = merge_rig(rig, merge_tol)
-    graph = rig_graph(rig, distance_matrix(rig, h), h)
     if rig.weights is None:
         raise ValueError(f"rig {rig.name!r} has no ground-truth weights")
+    rig, _ = merge_rig(rig, merge_tol)
+    graph = rig_graph(rig, distance_matrix(rig, h), h)
     return TrainSample(rig.name, graph, project_ground_truth(rig.weights, graph.topk),
                        rig.weights)
 
@@ -286,9 +287,12 @@ def prepare_sample(rig: Rig, h: HyperParams, merge_tol: float = 1e-6) -> TrainSa
 def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0,
           lr: float = 1e-4, wd: float = 1e-4,
           params: dict[str, Tensor] | None = None) -> tuple[dict[str, Tensor], list[float]]:
-    """One Adam step per rig per epoch; rig order reshuffled each epoch."""
+    """One Adam step per rig per epoch; rig order reshuffled each epoch.
+    Zero epochs return the initial parameters."""
     if not samples:
         raise ValueError("training requires at least one rig")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     if params is None:
         params = init_params(h, seed)
     state = ad.AdamState()

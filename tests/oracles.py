@@ -1,15 +1,18 @@
 """Independent reference implementations used only by the tests.
 
 These are written for clarity, not speed: a sequential queue-based
-distance-field search, an all-pairs vertex dedup scan, and a central
-finite-difference gradient helper.  Test code compares the package
-against these, never the other way around.
+distance-field search, an all-pairs vertex dedup scan, a central
+finite-difference gradient helper, the per-edge concat form of the edge
+convolution and the whole-array Adam step.  Test code compares the
+package against these, never the other way around.
 """
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
+
+import heterskin.autodiff as ad
 
 # expansion order must match the library: +x, -x, +y, -y, +z, -z
 OFFSETS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -131,3 +134,35 @@ def finite_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def concat_edge_conv(f, src, dst, w, alpha: float):
+    """Edge convolution as the per-edge product ``[f_i || f_i - f_j] @ w``:
+    two row gathers, a difference and a concat of (E, 2F) rows, then one
+    matmul, a leaky ReLU and the max over each node's edges."""
+    fi = ad.gather_rows(f, src)
+    fj = ad.gather_rows(f, dst)
+    h = ad.concat_cols([fi, ad.sub(fi, fj)])
+    return ad.segment_max(ad.leaky_relu(ad.matmul(h, w), alpha), src)
+
+
+def allocating_adam_step(params, grads, state, lr: float = 1e-4, wd: float = 1e-4,
+                         beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Adam with decoupled weight decay, one whole-array expression per
+    term, each into a fresh array; rebinds every ``p.value``."""
+    state.step += 1
+    t = state.step
+    for name, p in params.items():
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise ad.AutodiffError(f"non-finite gradient for parameter {name!r}")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.value)
+            state.v[name] = np.zeros_like(p.value)
+        if wd:
+            p.value = p.value - lr * wd * p.value
+        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
+        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)

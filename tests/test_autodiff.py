@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heterskin.autodiff as ad
+from heterskin import model
 from heterskin.autodiff import AutodiffError, Tensor
 
-from oracles import finite_difference, max_relative_error
+from oracles import allocating_adam_step, finite_difference, max_relative_error
 
 
 def param(value, name="p"):
@@ -148,6 +149,15 @@ class TestPrimitiveGradients:
         check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (6, 2)), ad.reshape(p, (6, 2)))),
                        rng.standard_normal((3, 4)))
 
+    def test_edge_linear(self):
+        rng = np.random.default_rng(18)
+        src, dst = ad.SegmentLayout([0, 0, 1, 2, 3, 3], 4), ad.SegmentLayout([1, 3, 0, 2, 0, 1], 4)
+        f, w = rng.standard_normal((4, 3)), rng.standard_normal((6, 2))
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_linear(p, src, dst, Tensor(w)),
+                                                ad.edge_linear(p, src, dst, Tensor(w)))), f)
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_linear(Tensor(f), src, dst, p),
+                                                ad.edge_linear(Tensor(f), src, dst, p))), w)
+
     def test_row_softmax(self):
         rng = np.random.default_rng(17)
         weights = rng.standard_normal((4, 3))
@@ -211,6 +221,77 @@ class TestAdam:
         p = {"w": param([1.0], name="w")}
         with pytest.raises(AutodiffError):
             ad.adam_step(p, {"w": np.array([np.nan])}, ad.AdamState())
+
+
+def adam_case(h, seed=0):
+    """The network's parameters under hyperparameters h, and three steps'
+    standard normal gradients."""
+    params = model.init_params(h, seed)
+    rng = np.random.default_rng(seed + 1)
+    grads = [{name: rng.standard_normal(t.value.shape) for name, t in params.items()}
+             for _ in range(3)]
+    return params, grads
+
+
+class TestAdamInPlace:
+    @pytest.mark.parametrize("dims", ["tiny", "default"])
+    @pytest.mark.parametrize("wd", [0.0, 1e-2])
+    def test_matches_allocating_step(self, dims, wd, tiny_hyper):
+        params, grads = adam_case(tiny_hyper if dims == "tiny" else model.HyperParams())
+        ref = {name: Tensor(t.value.copy(), name=name) for name, t in params.items()}
+        before = {name: t.value for name, t in params.items()}
+        copies = {name: v.copy() for name, v in before.items()}
+        state, ref_state = ad.AdamState(), ad.AdamState()
+        for g in grads:
+            ad.adam_step(params, g, state, lr=1e-3, wd=wd)
+            allocating_adam_step(ref, g, ref_state, lr=1e-3, wd=wd)
+            for name, t in params.items():
+                assert t.value.tobytes() == ref[name].value.tobytes(), name
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+        for name, v in before.items():
+            assert params[name].value is not v
+            assert v.tobytes() == copies[name].tobytes(), name
+
+    def test_non_contiguous_value_updated(self):
+        value = np.arange(12.0).reshape(3, 4).T  # a Fortran-order view
+        p, ref = {"w": param(value, "w")}, {"w": param(value.copy(), "w")}
+        g = {"w": np.linspace(-1.0, 1.0, 12).reshape(4, 3)}
+        state, ref_state = ad.AdamState(), ad.AdamState()
+        for _ in range(3):
+            ad.adam_step(p, g, state, lr=0.1, wd=0.1)
+            allocating_adam_step(ref, g, ref_state, lr=0.1, wd=0.1)
+        assert p["w"].value.flags.c_contiguous
+        assert np.array_equal(p["w"].value, ref["w"].value)
+        assert np.array_equal(value, np.arange(12.0).reshape(3, 4).T)
+
+    def test_rebound_value_copied_again(self):
+        p = {"w": param(np.ones(3), "w")}
+        state = ad.AdamState()
+        ad.adam_step(p, {"w": np.ones(3)}, state, lr=0.1, wd=0.0)
+        fresh = np.full(3, 5.0)
+        p["w"].value = fresh
+        ad.adam_step(p, {"w": np.ones(3)}, state, lr=0.1, wd=0.0)
+        assert np.array_equal(fresh, np.full(3, 5.0))
+        assert np.all(p["w"].value < 5.0)
+
+    def test_non_finite_gradient_leaves_parameter_untouched(self):
+        p = {"a": param(np.ones(4), "a"), "b": param(np.ones(4), "b")}
+        state = ad.AdamState()
+        ad.adam_step(p, {"a": np.ones(4), "b": np.ones(4)}, state, lr=0.1)
+        b_before, m_before, v_before = (x.copy() for x in (p["b"].value, state.m["b"],
+                                                          state.v["b"]))
+        with pytest.raises(AutodiffError, match="'b'"):
+            ad.adam_step(p, {"a": np.ones(4), "b": np.array([1.0, np.inf, 1.0, 1.0])},
+                         state, lr=0.1)
+        for now, then in ((p["b"].value, b_before), (state.m["b"], m_before),
+                          (state.v["b"], v_before)):
+            assert now.tobytes() == then.tobytes()
+
+    def test_gradient_shape_mismatch_rejected(self):
+        p = {"w": param(np.ones((2, 3)), "w")}
+        with pytest.raises(AutodiffError, match="shape"):
+            ad.adam_step(p, {"w": np.ones((3, 2))}, ad.AdamState())
 
 
 class TestKaiming:

@@ -167,6 +167,23 @@ class TestErrors:
         code = run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--epochs", "0", "--epochs must be at least 1, got 0"),
+        ("--epochs", "-2", "--epochs must be at least 1, got -2"),
+        ("--global-dim", "0", "feature dimensions and K must be >= 1"),
+        ("--final-dims", "0", "feature dimensions and K must be >= 1"),
+        ("--final-dims", "32,-16", "feature dimensions and K must be >= 1"),
+        ("--stages", "-1", "local_stages must be >= 0, got -1"),
+    ])
+    def test_bad_training_shape(self, data_dir, tmp_path, capsys, option, value, message):
+        args = ["train", "--data", str(data_dir), "--epochs", "1",
+                "--out", str(tmp_path / "m.ckpt"), *FAST_TRAIN]
+        i = args.index(option)
+        args[i + 1] = value
+        assert run(args) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("joint, message", [
         ({"name": "j2", "position": [0, 0, 0]}, "joint 2 is missing field 'parent'"),
         (7, "joint 2 is not an object"),

@@ -11,7 +11,7 @@ from heterskin import cli, hgraph, model, synthgen
 from heterskin.autodiff import Tensor
 from heterskin.rigcore import RigError, WeightRows, save_rig
 
-from oracles import finite_difference, max_relative_error
+from oracles import concat_edge_conv, finite_difference, max_relative_error
 
 
 def micro_hyper():
@@ -53,6 +53,19 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             model.HyperParams(distance_mode="manhattan")
 
+    @pytest.mark.parametrize("field, value", [
+        ("vertex_global", 0), ("bone_global", 0), ("bone_global", -3), ("final_dims", (0,)),
+        ("final_dims", (16, -1)), ("local_stages", -1), ("geo_cap", 0),
+    ])
+    def test_empty_or_negative_layer_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            model.HyperParams(**{field: value})
+
+    def test_no_hidden_final_layer_valid(self):
+        h = dataclasses.replace(micro_hyper(), final_dims=(), local_stages=0)
+        pred = model.forward(micro_sample().graph, model.init_params(h), h)
+        assert np.allclose(pred.value.sum(axis=1), 1.0)
+
 
 def skeleton_conv(f, pairs, w, alpha):
     """Edge convolution over both directions of undirected bone pairs."""
@@ -88,6 +101,43 @@ class TestSkeletonConv:
         out1 = skeleton_conv(f, edges, w, alpha=0.2)
         out2 = skeleton_conv(f, edges[::-1].copy(), w, alpha=0.2)
         assert np.array_equal(out1.value, out2.value)
+
+
+class TestEdgeLinear:
+    # `edge_conv` through `edge_linear` against the per-edge concat form,
+    # on the ring, geodesic and skeleton layouts of a rig graph.  The largest
+    # difference relative to the largest entry of the output, the f gradient
+    # and the w gradient, over the three relations, is 2.2e-16, 2.4e-16 and
+    # 3.3e-16 (micro), 4.5e-16, 3.6e-16 and 1.3e-15 (TINY), 1.2e-15, 1.1e-15
+    # and 1.1e-15 (default dims) here, at most 1.4e-15 over seeds 31-40.
+    @pytest.mark.parametrize("dims", ["micro", "tiny", "default"])
+    def test_matches_concat_form(self, dims, small_sample, tiny_hyper):
+        h = {"micro": micro_hyper(), "tiny": tiny_hyper, "default": model.HyperParams()}[dims]
+        graph = micro_sample().graph if dims == "micro" else small_sample.graph
+        rng = np.random.default_rng(31)
+        for layouts, width in ((graph.ring_layouts, h.vertex_local),
+                               (graph.geo_layouts, h.vertex_local),
+                               (graph.skel_layouts, h.bone_local)):
+            f = Tensor(rng.standard_normal((layouts[0].num, width)), name="f")
+            w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng), name="w")
+            got = model.edge_conv(f, *layouts, w, alpha=0.2)
+            want = concat_edge_conv(f, *layouts, w, alpha=0.2)
+            g = Tensor(rng.standard_normal(got.shape))
+            got_g = ad.backward(ad.tsum(ad.mul(got, g)), {"f": f, "w": w})
+            want_g = ad.backward(ad.tsum(ad.mul(want, g)), {"f": f, "w": w})
+            for a, b in ((got.value, want.value), (got_g["f"], want_g["f"]),
+                         (got_g["w"], want_g["w"])):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_rejects_mismatched_inputs(self):
+        n = 4
+        src, dst = hgraph.edge_layouts(hgraph.directed_edges(np.array([[0, 1], [2, 3]]), n), n)
+        f = Tensor(np.ones((n, 3)))
+        with pytest.raises(ad.AutodiffError, match="weight"):
+            ad.edge_linear(f, src, dst, Tensor(np.ones((5, 2))))
+        with pytest.raises(ad.AutodiffError, match="edge layouts"):
+            ad.edge_linear(Tensor(np.ones((n + 1, 3))), src, dst, Tensor(np.ones((6, 2))))
 
 
 def _loop_neighbor_edges(neighbors):
@@ -413,6 +463,10 @@ class TestTraining:
         for name in expect:
             assert np.array_equal(params[name].value, expect[name].value)
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            model.train([micro_sample()], micro_hyper(), epochs=-1)
+
     def test_same_seed_same_history(self):
         s = micro_sample()
         h = micro_hyper()
@@ -425,6 +479,18 @@ class TestTraining:
         h = micro_hyper()
         _, hist = model.train([s], h, epochs=40, seed=5, lr=1e-3)
         assert hist[-1] < hist[0]
+
+
+class TestPrepareSample:
+    def test_missing_weights_rejected_before_distances(self, small_rig, tiny_hyper,
+                                                       monkeypatch):
+        def no_search(*args):
+            raise AssertionError("distance search ran for a rig without weights")
+
+        monkeypatch.setattr(model, "distance_matrix", no_search)
+        rig = dataclasses.replace(small_rig, weights=None)
+        with pytest.raises(ValueError, match="no ground-truth weights"):
+            model.prepare_sample(rig, tiny_hyper)
 
 
 class TestPredict:

@@ -361,6 +361,8 @@ def backward(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 
 ADAM_BLOCK = 1 << 14  # elements per pass: a block of each of the six operands stays in L2
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999  # moment decay rates
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -372,8 +374,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float = 1e-4, wd: float = 1e-4,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+              state: AdamState, lr: float = 1e-4, wd: float = 1e-4) -> None:
     """Adam with decoupled weight decay applied before the update.
 
     A parameter's value, first and second moments are updated in place, in
@@ -385,7 +386,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    c1, c2 = 1 - beta1 ** t, 1 - beta2 ** t
+    c1, c2 = 1 - ADAM_BETA1 ** t, 1 - ADAM_BETA2 ** t
     a, b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in params.items():
         g = grads[name]
@@ -406,18 +407,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             if wd:
                 np.multiply(lr * wd, pb, out=ab)  # p - lr * wd * p
                 pb -= ab
-            mb *= beta1  # m = beta1 * m + (1 - beta1) * g
-            np.multiply(1 - beta1, gb, out=ab)
+            mb *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
+            np.multiply(1 - ADAM_BETA1, gb, out=ab)
             mb += ab
-            vb *= beta2  # v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(1 - beta2, gb, out=ab)
+            vb *= ADAM_BETA2  # v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(1 - ADAM_BETA2, gb, out=ab)
             ab *= gb
             vb += ab
             np.divide(mb, c1, out=ab)  # p - lr * m_hat / (sqrt(v_hat) + eps)
             np.multiply(lr, ab, out=ab)
             np.divide(vb, c2, out=bb)
             np.sqrt(bb, out=bb)
-            bb += eps
+            bb += ADAM_EPS
             ab /= bb
             pb -= ab
 

@@ -105,7 +105,6 @@ def _hyper_from_args(args) -> model.HyperParams:
         lambda_smooth=args.lambda_s,
         local_stages=args.stages,
         distance_mode=args.distance,
-        smoothing=not args.no_smoothing,
         resolution=args.resolution,
         geo_threshold=args.geo_threshold,
     )
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-s", type=float, default=0.4)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--distance", choices=["hollow", "euclidean"], default="hollow")
-    p.add_argument("--no-smoothing", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--resolution", type=int, default=88)

@@ -17,6 +17,8 @@ from scipy.sparse.csgraph import dijkstra
 from .autodiff import SegmentLayout
 from .rigcore import Mesh, Skeleton
 
+GEO_CAP = 32  # most geodesic neighbours a vertex keeps, the nearest first
+
 
 def directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Both directions of undirected pairs plus self-loops for nodes that
@@ -142,7 +144,7 @@ def skeleton_edges(skeleton: Skeleton) -> np.ndarray:
     return np.asarray(sorted(pairs), dtype=np.int64)
 
 
-def geodesic_neighbors(mesh: Mesh, threshold: float = 0.06, cap: int = 32) -> list[np.ndarray]:
+def geodesic_neighbors(mesh: Mesh, threshold: float, cap: int) -> list[np.ndarray]:
     """Vertices within a shortest-path distance threshold along mesh edges,
     excluding self; at most `cap` nearest are kept."""
     n = mesh.num_vertices
@@ -172,29 +174,36 @@ def geodesic_neighbors(mesh: Mesh, threshold: float = 0.06, cap: int = 32) -> li
     return out
 
 
-def mesh_laplacian(mesh: Mesh) -> sp.csr_matrix:
-    """Combinatorial Laplacian L = Deg - Adj over one-ring edges."""
+def ring_adjacency(mesh: Mesh) -> sp.csr_matrix:
+    """Symmetric (N, N) CSR matrix of ones over one-ring edges; each row
+    lists its neighbours in ascending order."""
     n = mesh.num_vertices
     edges = mesh.edges()
-    if len(edges) == 0:
-        return sp.csr_matrix((n, n))
     ones = np.ones(len(edges))
-    adj = sp.csr_matrix(
+    return sp.csr_matrix(
         (np.concatenate([ones, ones]),
          (np.concatenate([edges[:, 0], edges[:, 1]]),
           np.concatenate([edges[:, 1], edges[:, 0]]))),
         shape=(n, n),
     )
+
+
+def mesh_laplacian(mesh: Mesh) -> sp.csr_matrix:
+    """Combinatorial Laplacian L = Deg - Adj over one-ring edges."""
+    n = mesh.num_vertices
+    if len(mesh.triangles) == 0:
+        return sp.csr_matrix((n, n))
+    adj = ring_adjacency(mesh)
     deg = sp.diags(np.asarray(adj.sum(axis=1)).reshape(-1))
     return (deg - adj).tocsr()
 
 
 def build_graph(mesh: Mesh, skeleton: Skeleton, d: np.ndarray, k: int,
-                geo_threshold: float, geo_cap: int, eps: float) -> HeterGraph:
+                geo_threshold: float, eps: float) -> HeterGraph:
     tk = topk_bones(d, k)
     return HeterGraph(
         mesh_edges=mesh.edges(),
-        geo_neighbors=geodesic_neighbors(mesh, geo_threshold, geo_cap),
+        geo_neighbors=geodesic_neighbors(mesh, geo_threshold, GEO_CAP),
         skel_edges=skeleton_edges(skeleton),
         topk=tk,
         vertex_attr=vertex_attributes(mesh.vertices, d, tk, eps),

@@ -23,6 +23,12 @@ from .voxelize import build_grid, voxelize_mesh
 
 KL_EPS = 1e-8  # floor for ground-truth mass inside the KL term
 
+# the paper's training recipe
+EDGE_DROPOUT = 0.85  # share of one-ring edges dropped in each training pass
+FINAL_DROPOUT = 0.5  # dropout after each hidden layer of the final MLP, in training
+LEAKY_ALPHA = 0.2  # negative slope of every leaky ReLU
+VAR_SCALE = 0.1  # damping of the variance bones pool from their vertices
+
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -32,17 +38,11 @@ class HyperParams:
     bone_local: int = 128
     bone_global: int = 512
     final_dims: tuple[int, ...] = (1024, 512)
-    lambda_smooth: float = 0.4
-    edge_dropout: float = 0.85
-    final_dropout: float = 0.5
-    leaky_alpha: float = 0.2
-    var_scale: float = 0.1
+    lambda_smooth: float = 0.4  # 0 is the smoothness ablation
     local_stages: int = 3
     distance_mode: str = "hollow"  # or "euclidean"
-    smoothing: bool = True
     resolution: int = 88
     geo_threshold: float = 0.06
-    geo_cap: int = 32
 
     def __post_init__(self):
         if min(self.k, self.vertex_local, self.vertex_global, self.bone_local,
@@ -50,10 +50,6 @@ class HyperParams:
             raise ValueError("feature dimensions and K must be >= 1")
         if self.local_stages < 0:
             raise ValueError(f"local_stages must be >= 0, got {self.local_stages}")
-        if self.geo_cap < 1:
-            raise ValueError(f"geo_cap must be >= 1, got {self.geo_cap}")
-        if not (0 <= self.edge_dropout < 1 and 0 <= self.final_dropout < 1):
-            raise ValueError("dropout rates must lie in [0, 1)")
         if self.lambda_smooth < 0:
             raise ValueError("smoothing factor must be >= 0")
         if self.distance_mode not in ("hollow", "euclidean"):
@@ -106,30 +102,29 @@ def init_params(h: HyperParams, seed: int = 0) -> dict[str, Tensor]:
 # layer operators
 
 
-def edge_conv(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor,
-              alpha: float) -> Tensor:
+def edge_conv(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Tensor:
     """Max over neighbors j of MLP(f_i || f_i - f_j), over the directed
     edges of an `edge_layouts` pair."""
-    return ad.segment_max(ad.leaky_relu(ad.edge_linear(f, src, dst, w), alpha), src)
+    return ad.segment_max(ad.leaky_relu(ad.edge_linear(f, src, dst, w), LEAKY_ALPHA), src)
 
 
 def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
-              w_ring: Tensor, w_geo: Tensor, w_merge: Tensor, alpha: float) -> Tensor:
-    a = edge_conv(f_v, ring_edges[0], ring_edges[1], w_ring, alpha)
-    b = edge_conv(f_v, geo_edges[0], geo_edges[1], w_geo, alpha)
-    return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), alpha)
+              w_ring: Tensor, w_geo: Tensor, w_merge: Tensor) -> Tensor:
+    a = edge_conv(f_v, ring_edges[0], ring_edges[1], w_ring)
+    b = edge_conv(f_v, geo_edges[0], geo_edges[1], w_geo)
+    return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), LEAKY_ALPHA)
 
 
 def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
-                   w: Tensor, alpha: float, var_scale: float) -> Tensor:
+                   w: Tensor) -> Tensor:
     """Bones gather max/mean/damped-variance over their influenced vertices."""
     vertex_of_slot, bone_of_slot = topk
     slot_feats = ad.gather_rows(f_v, vertex_of_slot)
     mx = ad.segment_max(slot_feats, bone_of_slot)
     mean = ad.segment_mean(slot_feats, bone_of_slot)
-    var = ad.scale(ad.segment_var(slot_feats, bone_of_slot), var_scale)
+    var = ad.scale(ad.segment_var(slot_feats, bone_of_slot), VAR_SCALE)
     h = ad.concat_cols([f_b, mx, mean, var])
-    return ad.leaky_relu(ad.matmul(h, w), alpha)
+    return ad.leaky_relu(ad.matmul(h, w), LEAKY_ALPHA)
 
 
 def topk_features(f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout]) -> Tensor:
@@ -140,18 +135,18 @@ def topk_features(f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout]) -> Ten
 
 
 def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
-                   w: Tensor, alpha: float) -> Tensor:
+                   w: Tensor) -> Tensor:
     """Vertices concatenate their Top-K bones' features in distance order."""
     h = ad.concat_cols([f_v, topk_features(f_b, topk)])
-    return ad.leaky_relu(ad.matmul(h, w), alpha)
+    return ad.leaky_relu(ad.matmul(h, w), LEAKY_ALPHA)
 
 
-def global_branch(f: Tensor, pool: SegmentLayout, w: Tensor, alpha: float) -> Tensor:
+def global_branch(f: Tensor, pool: SegmentLayout, w: Tensor) -> Tensor:
     """Max-pool over all rows of f (``pool`` puts every row in segment 0)."""
     if f.value.shape[0] == 0:
         raise ad.AutodiffError("global branch over an empty node set")
     pooled = ad.segment_max(f, pool)
-    return ad.leaky_relu(ad.matmul(pooled, w), alpha)
+    return ad.leaky_relu(ad.matmul(pooled, w), LEAKY_ALPHA)
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +154,18 @@ def global_branch(f: Tensor, pool: SegmentLayout, w: Tensor, alpha: float) -> Te
 
 
 def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
-            train_mode: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+            rng: np.random.Generator | None = None) -> Tensor:
+    """The (N, K) convex weights of a graph's vertices.  With an ``rng`` the
+    pass is a training pass: it drops one-ring edges and final-layer
+    features with the draws it takes from ``rng``."""
     if graph.k != h.k:
         raise ValueError(f"graph K={graph.k} does not match hyperparameter K={h.k}")
-    if train_mode and rng is None:
-        rng = np.random.default_rng(0)
-    alpha = h.leaky_alpha
     n = graph.num_vertices
 
     # graph-only layouts are cached on the graph; dropped ring edges change
-    # every train-mode pass and are shared by its mesh convolutions
-    if train_mode and h.edge_dropout > 0 and len(graph.mesh_edges):
-        keep = rng.random(len(graph.mesh_edges)) >= h.edge_dropout
+    # every training pass and are shared by its mesh convolutions
+    if rng is not None and len(graph.mesh_edges):
+        keep = rng.random(len(graph.mesh_edges)) >= EDGE_DROPOUT
         ring = edge_layouts(directed_edges(graph.mesh_edges[keep], n), n)
     else:
         ring = graph.ring_layouts
@@ -180,24 +175,22 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     bone_attr = Tensor(graph.bone_attr)
 
     # lift raw attributes through the first inter-graph convolution
-    f_v = bone_to_vertex(Tensor(graph.vertex_attr), bone_attr, topk, params["inter0.b2v"],
-                         alpha)
-    f_b = vertex_to_bone(f_v, bone_attr, topk, params["inter0.v2b"], alpha, h.var_scale)
+    f_v = bone_to_vertex(Tensor(graph.vertex_attr), bone_attr, topk, params["inter0.b2v"])
+    f_b = vertex_to_bone(f_v, bone_attr, topk, params["inter0.v2b"])
 
     f_v = mesh_conv(f_v, ring, geo, params["mesh0.ring"],
-                    params["mesh0.geo"], params["mesh0.merge"], alpha)
-    f_b = edge_conv(f_b, *skel, params["skel0.conv"], alpha)
+                    params["mesh0.geo"], params["mesh0.merge"])
+    f_b = edge_conv(f_b, *skel, params["skel0.conv"])
 
-    g_v = global_branch(f_v, vertex_pool, params["global.vertex"], alpha)
-    g_b = global_branch(f_b, bone_pool, params["global.bone"], alpha)
+    g_v = global_branch(f_v, vertex_pool, params["global.vertex"])
+    g_b = global_branch(f_b, bone_pool, params["global.bone"])
 
     for s in range(h.local_stages):
         f_v = mesh_conv(f_v, ring, geo, params[f"stage{s}.mesh.ring"],
-                        params[f"stage{s}.mesh.geo"], params[f"stage{s}.mesh.merge"], alpha)
-        f_b = edge_conv(f_b, *skel, params[f"stage{s}.skel.conv"], alpha)
-        f_v = bone_to_vertex(f_v, f_b, topk, params[f"stage{s}.inter.b2v"], alpha)
-        f_b = vertex_to_bone(f_v, f_b, topk, params[f"stage{s}.inter.v2b"], alpha,
-                             h.var_scale)
+                        params[f"stage{s}.mesh.geo"], params[f"stage{s}.mesh.merge"])
+        f_b = edge_conv(f_b, *skel, params[f"stage{s}.skel.conv"])
+        f_v = bone_to_vertex(f_v, f_b, topk, params[f"stage{s}.inter.b2v"])
+        f_b = vertex_to_bone(f_v, f_b, topk, params[f"stage{s}.inter.v2b"])
 
     feat = ad.concat_cols([f_v, topk_features(f_b, topk),
                            ad.broadcast_rows(g_v, n), ad.broadcast_rows(g_b, n)])
@@ -206,9 +199,9 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     for i in range(num_final):
         feat = ad.matmul(feat, params[f"final.{i}"])
         if i < num_final - 1:
-            feat = ad.leaky_relu(feat, alpha)
-            if train_mode and h.final_dropout > 0:
-                feat = ad.dropout(feat, h.final_dropout, rng)
+            feat = ad.leaky_relu(feat, LEAKY_ALPHA)
+            if rng is not None:
+                feat = ad.dropout(feat, FINAL_DROPOUT, rng)
     return ad.row_softmax(feat)
 
 
@@ -271,41 +264,38 @@ def attribute_clamp(rig: Rig, h: HyperParams) -> float:
 def rig_graph(rig: Rig, d: np.ndarray, h: HyperParams) -> HeterGraph:
     """The graph of a merged rig over its (N, B) distance matrix ``d``; the
     one builder behind training, prediction and ``heterskin graph``."""
-    return build_graph(rig.mesh, rig.skeleton, d, h.k, h.geo_threshold, h.geo_cap,
+    return build_graph(rig.mesh, rig.skeleton, d, h.k, h.geo_threshold,
                        attribute_clamp(rig, h))
 
 
-def prepare_sample(rig: Rig, h: HyperParams, merge_tol: float = 1e-6) -> TrainSample:
+def prepare_sample(rig: Rig, h: HyperParams) -> TrainSample:
     if rig.weights is None:
         raise ValueError(f"rig {rig.name!r} has no ground-truth weights")
-    rig, _ = merge_rig(rig, merge_tol)
+    rig, _ = merge_rig(rig)
     graph = rig_graph(rig, distance_matrix(rig, h), h)
     return TrainSample(rig.name, graph, project_ground_truth(rig.weights, graph.topk),
                        rig.weights)
 
 
 def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0,
-          lr: float = 1e-4, wd: float = 1e-4,
-          params: dict[str, Tensor] | None = None) -> tuple[dict[str, Tensor], list[float]]:
+          lr: float = 1e-4, wd: float = 1e-4) -> tuple[dict[str, Tensor], list[float]]:
     """One Adam step per rig per epoch; rig order reshuffled each epoch.
     Zero epochs return the initial parameters."""
     if not samples:
         raise ValueError("training requires at least one rig")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if params is None:
-        params = init_params(h, seed)
+    params = init_params(h, seed)
     state = ad.AdamState()
     rng = np.random.default_rng(seed + 1)
-    lam = h.lambda_smooth if h.smoothing else 0.0
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(len(samples))
         total = 0.0
         for si in order:
             s = samples[si]
-            pred = forward(s.graph, params, h, train_mode=True, rng=rng)
-            step_loss = loss(pred, s.gt_topk, s.graph.topk, s.graph.laplacian, lam)
+            pred = forward(s.graph, params, h, rng)
+            step_loss = loss(pred, s.gt_topk, s.graph.topk, s.graph.laplacian, h.lambda_smooth)
             if not np.isfinite(step_loss.value):
                 raise ad.AutodiffError(
                     f"non-finite loss at epoch {epoch}, rig {s.name!r}")
@@ -318,17 +308,16 @@ def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0
 
 def predict_from_graph(graph: HeterGraph, params: dict[str, Tensor],
                        h: HyperParams) -> WeightRows:
-    pred = forward(graph, params, h, train_mode=False)
+    pred = forward(graph, params, h)
     idx = tuple(graph.topk[i].copy() for i in range(graph.num_vertices))
     val = tuple(pred.value[i].copy() for i in range(graph.num_vertices))
     return WeightRows(idx, val, graph.num_bones)
 
 
-def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams,
-            merge_tol: float = 1e-6) -> WeightRows:
+def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams) -> WeightRows:
     """Full pipeline on an unmerged rig; merged-away vertices receive the
     surviving vertex's prediction."""
-    merged, mapping = merge_rig(rig, merge_tol)
+    merged, mapping = merge_rig(rig)
     rows = predict_from_graph(rig_graph(merged, distance_matrix(merged, h), h), params, h)
     idx = tuple(rows.indices[mapping[i]] for i in range(rig.mesh.num_vertices))
     val = tuple(rows.values[mapping[i]] for i in range(rig.mesh.num_vertices))
@@ -370,9 +359,10 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], HyperParams]:
 
     Raises `RigError` when the magic line is wrong (JSON checkpoints of
     earlier versions included), when the header does not parse or holds
-    invalid `HyperParams`, when the parameter names, order or shapes differ
-    from what those hyperparameters define, and when the file is shorter or
-    longer than the header says.
+    invalid `HyperParams` (fields it lacks included, such as the six that
+    earlier headers list and that are now constants), when the parameter
+    names, order or shapes differ from what those hyperparameters define,
+    and when the file is shorter or longer than the header says.
     """
     with open(path, "rb") as f:
         if f.readline(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:

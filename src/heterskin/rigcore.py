@@ -15,6 +15,9 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 
+RENORM_TOL = 1e-4  # a weight row summing further from 1 is rejected, a nearer one renormalized
+
+
 class RigError(ValueError):
     """Raised for schema violations and invariant failures in rig data and
     model checkpoints."""
@@ -94,9 +97,6 @@ class Skeleton:
         """Start and end positions of every bone, (B, 3) each."""
         return self.positions[self.bones[:, 0]], self.positions[self.bones[:, 1]]
 
-    def is_helper(self) -> np.ndarray:
-        return self.bones[:, 0] == self.bones[:, 1]
-
 
 def _validate_tree(parents: np.ndarray) -> np.ndarray:
     """Check for a single-rooted tree; returns each joint's depth."""
@@ -145,7 +145,7 @@ class WeightRows:
     num_bones: int
 
     @classmethod
-    def from_pairs(cls, rows, num_bones, renorm_tol=1e-4) -> "WeightRows":
+    def from_pairs(cls, rows, num_bones) -> "WeightRows":
         if (isinstance(num_bones, bool) or not isinstance(num_bones, (int, np.integer))
                 or num_bones < 1):
             raise RigError(f"num_bones {num_bones!r} is not an integer >= 1")
@@ -170,8 +170,8 @@ class WeightRows:
             if np.any(wi < 0):
                 raise RigError(f"weight row {i}: negative weight")
             s = wi.sum()
-            if abs(s - 1.0) > renorm_tol:
-                raise RigError(f"weight row {i} sums to {s!r}, deviates from 1 by more than {renorm_tol}")
+            if abs(s - 1.0) > RENORM_TOL:
+                raise RigError(f"weight row {i} sums to {s!r}, deviates from 1 by more than {RENORM_TOL}")
             # skip the division when already normalized so that values
             # serialized and re-read come back bit-identical
             if s > 0 and abs(s - 1.0) > 1e-12:
@@ -181,11 +181,13 @@ class WeightRows:
         return cls(tuple(idx), tuple(val), int(num_bones))
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, prune: float = 0.0) -> "WeightRows":
+    def from_dense(cls, dense: np.ndarray) -> "WeightRows":
+        """Rows of the positive entries of a dense (N, B) matrix, each
+        renormalized to sum to 1."""
         dense = np.asarray(dense, dtype=np.float64)
         idx, val = [], []
         for row in dense:
-            ji = np.flatnonzero(row > prune)
+            ji = np.flatnonzero(row > 0)
             wi = row[ji]
             wi = wi / wi.sum()
             idx.append(ji)

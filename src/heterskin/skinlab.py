@@ -9,6 +9,7 @@ import numpy as np
 from .rigcore import Rig, Skeleton, WeightRows
 
 INFLUENCE_TAU = 1e-4
+POSE_ANGLE_STD = np.deg2rad(25.0)  # radians; spread of a sampled bone rotation
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def lbs_deform(vertices: np.ndarray, weights: WeightRows, transforms: np.ndarray
 
 
 def sample_poses(skeleton: Skeleton, count: int = 10, seed: int = 0,
-                 angle_std_deg: float = 25.0, fraction: float = 0.3) -> list[Pose]:
+                 fraction: float = 0.3) -> list[Pose]:
     """Random poses: ceil(fraction * B) bones get a uniform random axis and
-    a normal(0, angle_std) rotation angle."""
+    a normal(0, POSE_ANGLE_STD) rotation angle."""
     if count < 1:
         raise ValueError("pose count must be >= 1")
     rng = np.random.default_rng(seed)
@@ -121,7 +122,7 @@ def sample_poses(skeleton: Skeleton, count: int = 10, seed: int = 0,
             while np.linalg.norm(v) < 1e-12:
                 v = rng.normal(size=3)
             axes[bone] = v / np.linalg.norm(v)
-            angles[bone] = rng.normal(0.0, np.deg2rad(angle_std_deg))
+            angles[bone] = rng.normal(0.0, POSE_ANGLE_STD)
         poses.append(Pose(axes, angles))
     return poses
 
@@ -172,11 +173,11 @@ def evaluate(rig: Rig, pred: WeightRows, gt: WeightRows, poses: list[Pose],
     return EvalReport(p, r, l1_norm(pred, gt), distance_error(rig, pred, gt, poses))
 
 
-def topk_coverage(pairs: list[tuple[WeightRows, np.ndarray]], k_max: int,
-                  tau: float = INFLUENCE_TAU) -> tuple[np.ndarray, np.ndarray]:
+def topk_coverage(pairs: list[tuple[WeightRows, np.ndarray]],
+                  k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Coverage curves over K = 1..k_max for (ground truth, distance
     matrix) pairs: mean weight mass on the K nearest bones, and the pooled
-    fraction of influential bones found among them."""
+    fraction of bones weighted above INFLUENCE_TAU found among them."""
     mass_curve = np.zeros(k_max)
     mass_count = 0
     infl_hits = np.zeros(k_max)
@@ -192,7 +193,7 @@ def topk_coverage(pairs: list[tuple[WeightRows, np.ndarray]], k_max: int,
             kk = min(k, dense.shape[1] - 1)
             mass_curve[k] += cum[ok, kk].sum()
         mass_count += int(ok.sum())
-        infl = sorted_w > tau
+        infl = sorted_w > INFLUENCE_TAU
         infl_total += int(infl.sum())
         for k in range(k_max):
             kk = min(k + 1, dense.shape[1])

@@ -7,17 +7,20 @@ out-of-body case are always exercisable without external data.
 """
 from __future__ import annotations
 
-import hashlib
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hgraph import topk_bones
+from .hgraph import ring_adjacency, topk_bones
 from .hollowdist import compute_all, rasterize_bone
 from .rigcore import Mesh, Rig, Skeleton, WeightRows
 from . import rigcore
 from .voxelize import voxelize_mesh
+
+MAX_DEPTH = 4  # deepest joint of a random tree, the root at depth 0
+GT_SUPPORT = 3  # nearest bones that share a vertex's ground-truth weight
+GT_SMOOTHING_PASSES = 10  # one-ring averaging passes over the ground truth
 
 
 @dataclass(frozen=True)
@@ -28,10 +31,7 @@ class SynthConfig:
     rings_per_bone: int = 6
     prop_probability: float = 0.3
     antenna_probability: float = 0.3
-    max_depth: int = 4
     resolution: int = 48  # grid used while painting ground truth
-    smoothing_passes: int = 10
-    gt_support: int = 3
 
     def __post_init__(self):
         if not (0 <= self.prop_probability <= 1 and 0 <= self.antenna_probability <= 1):
@@ -115,7 +115,7 @@ def _random_tree(rng: np.random.Generator, config: SynthConfig):
         parents = [-1]
         depth = [0]
         for i in range(1, n):
-            cand = [j for j in range(i) if depth[j] < config.max_depth]
+            cand = [j for j in range(i) if depth[j] < MAX_DEPTH]
             p = int(rng.choice(cand))
             parents.append(p)
             depth.append(depth[p] + 1)
@@ -191,25 +191,18 @@ def _attempt(config: SynthConfig, rng: np.random.Generator) -> Rig | None:
             return None  # antenna must stay entirely outside the surface
     d = compute_all(Rig(mesh, skeleton), grid)
 
-    support = min(config.gt_support, skeleton.num_bones)
+    support = min(GT_SUPPORT, skeleton.num_bones)
     tk = topk_bones(d, support)
     inv2 = (1.0 / np.maximum(np.take_along_axis(d, tk, axis=1), 1e-6)) ** 2
     dense = np.zeros((mesh.num_vertices, skeleton.num_bones))
     np.put_along_axis(dense, tk, inv2 / inv2.sum(axis=1, keepdims=True), axis=1)
 
-    edges = mesh.edges()
-    neighbors = [[] for _ in range(mesh.num_vertices)]
-    for a, b in edges:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    nb_src = np.concatenate([np.full(len(nb), i) for i, nb in enumerate(neighbors) if nb]) \
-        if edges.size else np.zeros(0, dtype=np.int64)
-    nb_dst = np.concatenate([np.asarray(nb) for nb in neighbors if nb]) \
-        if edges.size else np.zeros(0, dtype=np.int64)
-    deg = np.maximum(np.bincount(nb_src, minlength=mesh.num_vertices), 1)
-    for _ in range(config.smoothing_passes):
-        mean = np.zeros_like(dense)
-        np.add.at(mean, nb_src, dense[nb_dst])
+    # each row lists its neighbours in ascending order, and the product adds
+    # them in that order from 0.0
+    adj = ring_adjacency(mesh)
+    deg = np.maximum(np.diff(adj.indptr), 1)
+    for _ in range(GT_SMOOTHING_PASSES):
+        mean = adj @ dense
         mean /= deg[:, None]
         dense = dense + 0.5 * (mean - dense)
     # project back onto each row's nearest-bone support and renormalize
@@ -260,8 +253,3 @@ def load_manifest(data_dir) -> list[str]:
         os.path.join(data_dir, p) for p in os.listdir(data_dir)
         if p.endswith(".json")
     )
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()

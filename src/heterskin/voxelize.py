@@ -53,7 +53,7 @@ class VoxelGrid:
         return bool(np.all(rel >= 0) and np.all(rel <= self.resolution))
 
 
-def build_grid(mesh: Mesh, resolution: int = 88) -> VoxelGrid:
+def build_grid(mesh: Mesh, resolution: int) -> VoxelGrid:
     """Fit a cubic grid around the mesh with a one-cell padding border.
 
     The cell size is chosen so the largest AABB extent spans resolution-2
@@ -128,7 +128,7 @@ def voxelize_surface(mesh: Mesh, grid: VoxelGrid) -> np.ndarray:
     return labels
 
 
-def voxelize_mesh(mesh: Mesh, resolution: int = 88) -> VoxelGrid:
+def voxelize_mesh(mesh: Mesh, resolution: int) -> VoxelGrid:
     grid = build_grid(mesh, resolution)
     voxelize_surface(mesh, grid)
     return grid

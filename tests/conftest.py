@@ -2,16 +2,7 @@ import pytest
 
 from heterskin import model, synthgen
 
-# desk-scale network: same architecture, small dims so tests stay fast
-TINY = model.HyperParams(
-    vertex_local=24,
-    vertex_global=24,
-    bone_local=12,
-    bone_global=24,
-    final_dims=(48, 24),
-    local_stages=2,
-    resolution=32,
-)
+from handbuilt import TINY
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,18 @@ whichever directories one pytest run collects.
 """
 import numpy as np
 
-from heterskin import rigcore
+from heterskin import model, rigcore
+
+# desk-scale network: same architecture, small dims so tests stay fast
+TINY = model.HyperParams(
+    vertex_local=24,
+    vertex_global=24,
+    bone_local=12,
+    bone_global=24,
+    final_dims=(48, 24),
+    local_stages=2,
+    resolution=32,
+)
 
 
 def chain_skeleton(positions, parents=None, names=None):

@@ -15,6 +15,7 @@ from heterskin import cli, hollowdist, model, skinlab, synthgen, voxelize
 from heterskin.autodiff import Tensor
 from heterskin.rigcore import Rig, WeightRows
 
+from handbuilt import TINY
 from oracles import finite_difference, max_relative_error, reference_bfs
 from test_model import micro_hyper, micro_sample
 
@@ -24,15 +25,6 @@ from test_model import micro_hyper, micro_sample
 # third of the starting value, so a 10x reduction is not reachable).
 OVERFIT_RATIO = 0.6
 
-STUDY_HYPER = model.HyperParams(
-    vertex_local=24,
-    vertex_global=24,
-    bone_local=12,
-    bone_global=24,
-    final_dims=(48, 24),
-    local_stages=2,
-    resolution=32,
-)
 STUDY_SEEDS = range(5)
 STUDY_EPOCHS = 25
 STUDY_LR = 1e-3
@@ -60,9 +52,9 @@ def study():
         resolution=32, prop_probability=0.5, antenna_probability=0.5
     )
     rigs = [synthgen.gen_character(cfg, s) for s in range(50)]
-    h = STUDY_HYPER
+    h = TINY
     he = dataclasses.replace(h, distance_mode="euclidean")
-    h0 = dataclasses.replace(h, smoothing=False)
+    h0 = dataclasses.replace(h, lambda_smooth=0.0)
     hollow = [model.prepare_sample(r, h) for r in rigs]
     euclid = [model.prepare_sample(r, he) for r in rigs]
     dmats = [model.distance_matrix(r, h) for r in rigs]
@@ -255,11 +247,8 @@ def test_criterion_05_convexity_contract():
             float(rng.uniform(0, 2.0)) * rng.standard_normal(params[logit].value.shape),
             name=logit,
         )
-        train_mode = trial % 4 == 0
-        out = model.forward(
-            s.graph, params, h, train_mode=train_mode,
-            rng=np.random.default_rng(trial) if train_mode else None,
-        ).value
+        train_rng = np.random.default_rng(trial) if trial % 4 == 0 else None
+        out = model.forward(s.graph, params, h, train_rng).value
         assert np.all(out >= 0)
         assert np.max(np.abs(out.sum(axis=1) - 1.0)) <= 1e-9
     assert time.monotonic() - start < 60.0
@@ -269,8 +258,8 @@ def test_criterion_06_overfit_sanity():
     start = time.monotonic()
     cfg = synthgen.SynthConfig(resolution=32)
     rig = synthgen.gen_character(cfg, 0)
-    sample = model.prepare_sample(rig, STUDY_HYPER)
-    _, history = model.train([sample], STUDY_HYPER, epochs=500, seed=0, lr=STUDY_LR)
+    sample = model.prepare_sample(rig, TINY)
+    _, history = model.train([sample], TINY, epochs=500, seed=0, lr=STUDY_LR)
     assert history[-1] <= OVERFIT_RATIO * history[0], (
         f"final {history[-1]:.4f} vs epoch-1 {history[0]:.4f}"
     )

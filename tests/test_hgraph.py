@@ -123,12 +123,12 @@ class TestGeodesicNeighbors:
 
     def test_short_edge_included(self):
         mesh = self._two_vertex_mesh(0.05)
-        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06)
+        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06, cap=hgraph.GEO_CAP)
         assert 1 in nbrs[0] and 0 in nbrs[1]
 
     def test_long_edge_excluded(self):
         mesh = self._two_vertex_mesh(0.07)
-        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06)
+        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06, cap=hgraph.GEO_CAP)
         assert 1 not in nbrs[0] and 0 not in nbrs[1]
 
     def test_matches_dijkstra_oracle(self):
@@ -187,6 +187,27 @@ class TestLaplacian:
         for _ in range(20):
             u = rng.standard_normal(len(rig.mesh.vertices))
             assert u @ (lap @ u) >= -1e-12
+
+
+class TestRingAdjacency:
+    def test_sums_neighbours_as_per_vertex_lists_do(self, small_rig):
+        """One product adds each vertex's neighbours in ascending order from
+        0.0, the bytes of ``np.add.at`` over per-vertex neighbour lists."""
+        mesh = small_rig.mesh
+        adj = hgraph.ring_adjacency(mesh)
+        assert (adj != adj.T).nnz == 0
+        neighbors = [[] for _ in range(mesh.num_vertices)]
+        for a, b in mesh.edges():
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        for i, nb in enumerate(neighbors):
+            assert adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() == sorted(nb)
+        src = np.concatenate([np.full(len(nb), i) for i, nb in enumerate(neighbors)])
+        dst = np.concatenate([np.asarray(nb, dtype=np.int64) for nb in neighbors])
+        x = np.random.default_rng(67).standard_normal((mesh.num_vertices, 5))
+        want = np.zeros_like(x)
+        np.add.at(want, src, x[dst])
+        assert (adj @ x).tobytes() == want.tobytes()
 
 
 class TestBuildGraph:

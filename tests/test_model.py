@@ -41,13 +41,11 @@ class TestHyperParams:
         assert (h.k, h.vertex_local, h.vertex_global) == (3, 256, 512)
         assert (h.bone_local, h.bone_global) == (128, 512)
         assert h.final_dims == (1024, 512)
-        assert (h.lambda_smooth, h.edge_dropout, h.final_dropout) == (0.4, 0.85, 0.5)
-        assert (h.leaky_alpha, h.var_scale, h.local_stages) == (0.2, 0.1, 3)
+        assert (h.lambda_smooth, model.EDGE_DROPOUT, model.FINAL_DROPOUT) == (0.4, 0.85, 0.5)
+        assert (model.LEAKY_ALPHA, model.VAR_SCALE, h.local_stages) == (0.2, 0.1, 3)
         assert h.resolution == 88
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            model.HyperParams(edge_dropout=1.0)
         with pytest.raises(ValueError):
             model.HyperParams(lambda_smooth=-0.1)
         with pytest.raises(ValueError):
@@ -55,7 +53,7 @@ class TestHyperParams:
 
     @pytest.mark.parametrize("field, value", [
         ("vertex_global", 0), ("bone_global", 0), ("bone_global", -3), ("final_dims", (0,)),
-        ("final_dims", (16, -1)), ("local_stages", -1), ("geo_cap", 0),
+        ("final_dims", (16, -1)), ("local_stages", -1),
     ])
     def test_empty_or_negative_layer_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -67,10 +65,10 @@ class TestHyperParams:
         assert np.allclose(pred.value.sum(axis=1), 1.0)
 
 
-def skeleton_conv(f, pairs, w, alpha):
+def skeleton_conv(f, pairs, w):
     """Edge convolution over both directions of undirected bone pairs."""
     n = f.value.shape[0]
-    return model.edge_conv(f, *hgraph.edge_layouts(hgraph.directed_edges(pairs, n), n), w, alpha)
+    return model.edge_conv(f, *hgraph.edge_layouts(hgraph.directed_edges(pairs, n), n), w)
 
 
 def topk_pair(topk, num_bones):
@@ -84,13 +82,13 @@ class TestSkeletonConv:
     def test_isolated_bone_self_loop(self):
         f = Tensor(np.array([[1.0, 2.0]]))
         w = Tensor(np.vstack([np.eye(2), np.zeros((2, 2))]), name="w")
-        out = skeleton_conv(f, np.empty((0, 2), int), w, alpha=0.2)
+        out = skeleton_conv(f, np.empty((0, 2), int), w)
         assert np.allclose(out.value, f.value)
 
     def test_identical_neighbors_difference_vanishes(self):
         f = Tensor(np.array([[1.0, 2.0], [1.0, 2.0]]))
         w = Tensor(np.vstack([np.zeros((2, 2)), np.eye(2)]), name="w")
-        out = skeleton_conv(f, np.array([[0, 1]]), w, alpha=0.2)
+        out = skeleton_conv(f, np.array([[0, 1]]), w)
         assert np.allclose(out.value, 0.0)
 
     def test_neighbor_permutation_invariant(self):
@@ -98,8 +96,8 @@ class TestSkeletonConv:
         f = Tensor(rng.standard_normal((5, 3)))
         w = Tensor(rng.standard_normal((6, 3)), name="w")
         edges = np.array([[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]])
-        out1 = skeleton_conv(f, edges, w, alpha=0.2)
-        out2 = skeleton_conv(f, edges[::-1].copy(), w, alpha=0.2)
+        out1 = skeleton_conv(f, edges, w)
+        out2 = skeleton_conv(f, edges[::-1].copy(), w)
         assert np.array_equal(out1.value, out2.value)
 
 
@@ -120,7 +118,7 @@ class TestEdgeLinear:
                                (graph.skel_layouts, h.bone_local)):
             f = Tensor(rng.standard_normal((layouts[0].num, width)), name="f")
             w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng), name="w")
-            got = model.edge_conv(f, *layouts, w, alpha=0.2)
+            got = model.edge_conv(f, *layouts, w)
             want = concat_edge_conv(f, *layouts, w, alpha=0.2)
             g = Tensor(rng.standard_normal(got.shape))
             got_g = ad.backward(ad.tsum(ad.mul(got, g)), {"f": f, "w": w})
@@ -180,7 +178,7 @@ class TestVertexToBone:
         fb = Tensor(rng.standard_normal((2, 2)))
         w = Tensor(rng.standard_normal((2 + 9, 2)), name="w")
         topk = np.array([[0]])
-        out = model.vertex_to_bone(fv, fb, topk_pair(topk, 2), w, alpha=0.2, var_scale=0.1)
+        out = model.vertex_to_bone(fv, fb, topk_pair(topk, 2), w)
         # bone 1 has no influence set: its statistics are all zero
         manual = np.concatenate([fb.value[1], np.zeros(9)])
         lin = manual @ w.value
@@ -194,7 +192,7 @@ class TestVertexToBone:
         fb = Tensor(rng.standard_normal((b, 2)))
         topk = np.stack([rng.choice(b, size=k, replace=False) for _ in range(n)])
         w = Tensor(np.eye(2 + 9, 2), name="w")
-        out = model.vertex_to_bone(fv, fb, topk_pair(topk, b), w, alpha=0.2, var_scale=0.1)
+        out = model.vertex_to_bone(fv, fb, topk_pair(topk, b), w)
         for j in range(b):
             members = np.flatnonzero((topk == j).any(axis=1))
             if members.size == 0:
@@ -214,8 +212,8 @@ class TestBoneToVertex:
         fv = Tensor(rng.standard_normal((1, 3)))
         fb = Tensor(rng.standard_normal((4, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
-        a = model.bone_to_vertex(fv, fb, topk_pair(np.array([[0, 1]]), 4), w, alpha=0.2)
-        b = model.bone_to_vertex(fv, fb, topk_pair(np.array([[1, 0]]), 4), w, alpha=0.2)
+        a = model.bone_to_vertex(fv, fb, topk_pair(np.array([[0, 1]]), 4), w)
+        b = model.bone_to_vertex(fv, fb, topk_pair(np.array([[1, 0]]), 4), w)
         assert not np.allclose(a.value, b.value)
 
     def test_identical_vertices_identical_outputs(self):
@@ -225,7 +223,7 @@ class TestBoneToVertex:
         fb = Tensor(rng.standard_normal((3, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
         topk = np.array([[0, 2], [0, 2]])
-        out = model.bone_to_vertex(fv, fb, topk_pair(topk, 3), w, alpha=0.2)
+        out = model.bone_to_vertex(fv, fb, topk_pair(topk, 3), w)
         assert np.array_equal(out.value[0], out.value[1])
 
 
@@ -252,7 +250,7 @@ class TestOneTopKGather:
         f_b = Tensor(rng.standard_normal((b, h.bone_local)), name="f_b")
         shape = (h.vertex_local + k * h.bone_local, h.vertex_local)
         w = Tensor(ad.kaiming_normal(shape, shape[0], rng), name="w")
-        got = model.bone_to_vertex(f_v, f_b, graph.topk_layouts, w, alpha=0.2)
+        got = model.bone_to_vertex(f_v, f_b, graph.topk_layouts, w)
         want = _column_bone_to_vertex(f_v, f_b, graph.topk, w, alpha=0.2)
         assert got.value.tobytes() == want.value.tobytes()
 
@@ -267,7 +265,7 @@ class TestGlobalBranch:
         rng = np.random.default_rng(13)
         f = Tensor(rng.standard_normal((1, 3)))
         w = Tensor(rng.standard_normal((3, 4)), name="w")
-        out = model.global_branch(f, ad.SegmentLayout([0], 1), w, alpha=0.2)
+        out = model.global_branch(f, ad.SegmentLayout([0], 1), w)
         lin = f.value[0] @ w.value
         assert np.allclose(out.value[0], np.where(lin > 0, lin, 0.2 * lin))
 
@@ -275,9 +273,8 @@ class TestGlobalBranch:
         rng = np.random.default_rng(15)
         f = rng.standard_normal((4, 3))
         w = Tensor(rng.standard_normal((3, 4)), name="w")
-        a = model.global_branch(Tensor(f), ad.SegmentLayout([0] * 4, 1), w, alpha=0.2)
-        b = model.global_branch(Tensor(np.vstack([f, f])), ad.SegmentLayout([0] * 8, 1), w,
-                               alpha=0.2)
+        a = model.global_branch(Tensor(f), ad.SegmentLayout([0] * 4, 1), w)
+        b = model.global_branch(Tensor(np.vstack([f, f])), ad.SegmentLayout([0] * 8, 1), w)
         assert np.array_equal(a.value, b.value)
 
 
@@ -336,7 +333,8 @@ def _spread_logits(params, h, seed):
 
 class TestGraphLayouts:
     """Segment layouts cached on the graph give the same bytes as fresh
-    ones, and dropped ring edges are rebuilt on every train-mode pass."""
+    ones, and dropped ring edges are rebuilt on every training pass (one
+    given an rng) and on no other."""
 
     def test_cached_layouts_give_identical_bytes(self):
         h = micro_hyper()
@@ -345,20 +343,17 @@ class TestGraphLayouts:
         model.forward(cached, params, h)
         layouts = {name: cached.__dict__[name] for name in
                    ("ring_layouts", "geo_layouts", "skel_layouts", "topk_layouts", "pool_layouts")}
-        for train_mode in (False, True):
+        for training in (False, True):
             fresh = micro_sample().graph
             assert "geo_layouts" not in fresh.__dict__
-            want = model.forward(fresh, params, h, train_mode, np.random.default_rng(5)).value
-            got = model.forward(cached, params, h, train_mode, np.random.default_rng(5)).value
-            assert got.tobytes() == want.tobytes()
+            want = model.forward(fresh, params, h, np.random.default_rng(5) if training else None)
+            got = model.forward(cached, params, h, np.random.default_rng(5) if training else None)
+            assert got.value.tobytes() == want.value.tobytes()
         # the second and third passes reused the first pass's layouts
         assert all(cached.__dict__[name] is lay for name, lay in layouts.items())
 
-    def test_train_mode_rebuilds_dropped_ring(self, monkeypatch):
-        h = micro_hyper()
-        params = model.init_params(h, seed=3)
-        graph = micro_sample().graph
-        n = graph.num_vertices
+    @staticmethod
+    def _spy_edge_layouts(monkeypatch) -> list:
         built = []
 
         def spy(edges, count):
@@ -366,16 +361,37 @@ class TestGraphLayouts:
             return built[-1]
 
         monkeypatch.setattr(model, "edge_layouts", spy)
+        return built
+
+    def test_train_mode_rebuilds_dropped_ring(self, monkeypatch):
+        h = micro_hyper()
+        params = model.init_params(h, seed=3)
+        graph = micro_sample().graph
+        n = graph.num_vertices
+        built = self._spy_edge_layouts(monkeypatch)
         for seed in (1, 2):
-            model.forward(graph, params, h, train_mode=True, rng=np.random.default_rng(seed))
+            model.forward(graph, params, h, np.random.default_rng(seed))
         assert len(built) == 2
         for seed, (src, dst) in zip((1, 2), built):
-            keep = np.random.default_rng(seed).random(len(graph.mesh_edges)) >= h.edge_dropout
+            keep = np.random.default_rng(seed).random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
             want_src, want_dst = hgraph.directed_edges(graph.mesh_edges[keep], n)
             assert np.array_equal(src.idx, want_src)
             assert np.array_equal(dst.idx, want_dst)
         assert not np.array_equal(built[0][0].idx, built[1][0].idx)
         assert "ring_layouts" not in graph.__dict__
+
+    def test_inference_keeps_every_ring_edge(self, monkeypatch):
+        h = micro_hyper()
+        params = model.init_params(h, seed=3)
+        graph = micro_sample().graph
+        built = self._spy_edge_layouts(monkeypatch)
+        for _ in range(2):
+            model.forward(graph, params, h)
+        assert built == []
+        src, dst = graph.__dict__["ring_layouts"]
+        want_src, want_dst = hgraph.directed_edges(graph.mesh_edges, graph.num_vertices)
+        assert np.array_equal(src.idx, want_src)
+        assert np.array_equal(dst.idx, want_dst)
 
     @settings(derandomize=True, deadline=None, max_examples=20)
     @given(rig_seed=st.integers(0, 100_000), param_seed=st.integers(0, 1_000))
@@ -592,6 +608,8 @@ class TestCheckpoint:
         (b'"local_stages": 2', b'"local_stages": 1', "stage1"),
         # hyperparameters HyperParams rejects
         (b'"distance_mode": "hollow"', b'"distance_mode": "manhattan"', "header"),
+        # a field HyperParams no longer has, as in checkpoints of earlier versions
+        (b'"lambda_smooth": 0.4', b'"lambda_smooth": 0.4, "smoothing": true', "header"),
     ])
     def test_header_disagreeing_with_hyper_rejected(self, tmp_path, tiny_hyper,
                                                     old, new, match):
@@ -609,3 +627,20 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         assert cli.main(["predict", "--model", str(path), "--rig", str(rig),
                          "--out", str(tmp_path / "w.json")]) == 1
+
+    def test_earlier_version_checkpoint_rejected(self, tmp_path, small_rig, tiny_hyper, capsys):
+        """Checkpoints of earlier versions list six more hyperparameters, now
+        constants; loading one must fail rather than run with other values."""
+        path = self._saved(tmp_path, tiny_hyper)
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        doc = json.loads(header)
+        doc["hyper"].update(edge_dropout=0.85, final_dropout=0.5, leaky_alpha=0.2,
+                            var_scale=0.1, smoothing=True, geo_cap=32)
+        path.write_bytes(magic + b"\n" + json.dumps(doc).encode() + b"\n" + body)
+        with pytest.raises(RigError, match="header"):
+            model.load_checkpoint(path)
+        rig = tmp_path / "rig.json"
+        save_rig(small_rig, rig)
+        assert cli.main(["predict", "--model", str(path), "--rig", str(rig),
+                         "--out", str(tmp_path / "w.json")]) == 1
+        assert "bad checkpoint header" in capsys.readouterr().err

@@ -114,7 +114,7 @@ class TestSkeleton:
 
     def test_helper_flags(self):
         skel = chain_skeleton([[0, 0, 0], [0, 1, 0]])
-        helper = skel.is_helper()
+        helper = skel.bones[:, 0] == skel.bones[:, 1]
         assert not helper[0]
         assert helper[1]
 

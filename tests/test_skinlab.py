@@ -63,7 +63,7 @@ def _reference_forward_kinematics(skeleton, pose):
         )
         joint_tf[j] = joint_tf[p] @ local
         out[bone] = joint_tf[j]
-    for bone in np.flatnonzero(skeleton.is_helper()):
+    for bone in np.flatnonzero(skeleton.bones[:, 0] == skeleton.bones[:, 1]):
         j = int(skeleton.bones[bone, 0])
         local = _about_point(
             _axis_angle_matrix(pose.axes[bone], float(pose.angles[bone])),

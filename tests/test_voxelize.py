@@ -113,7 +113,7 @@ class TestBuildGrid:
     def test_degenerate_mesh_rejected(self):
         mesh = Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
         with pytest.raises((RigError, ValueError)):
-            voxelize.build_grid(mesh)
+            voxelize.build_grid(mesh, 88)
 
 
 class TestVoxelizeSurface:

@@ -86,10 +86,22 @@ def log(a: Tensor) -> Tensor:
     return _make(np.log(a.value), (a,), lambda g: (g / a.value,), "log")
 
 
-def leaky_relu(a: Tensor, alpha: float = 0.2) -> Tensor:
-    mask = a.value >= 0
-    return _make(np.where(mask, a.value, alpha * a.value), (a,),
-                 lambda g: (np.where(mask, g, alpha * g),), "leaky_relu")
+def leaky_relu(a: Tensor, alpha: float) -> Tensor:
+    """``max(a, alpha * a)``, which is ``a`` where ``a >= 0`` and ``alpha * a``
+    elsewhere, signed zeros included, for a slope in [0, 1].  The gradient
+    is ``g`` times a slope of exactly 1.0 or ``alpha``: for alpha in [0, 1],
+    ``(1 - alpha) + alpha`` rounds to 1.  Selecting with ``np.where``
+    instead is several times slower on unpredictable signs."""
+    if not 0.0 <= alpha <= 1.0:
+        raise AutodiffError(f"leaky_relu slope {alpha} outside [0, 1]")
+
+    def bw(g):
+        slope = (a.value >= 0) * (1.0 - alpha)
+        slope += alpha
+        slope *= g
+        return (slope,)
+
+    return _make(np.maximum(a.value, alpha * a.value), (a,), bw, "leaky_relu")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -120,10 +132,16 @@ class SegmentLayout:
       the order ``np.add.at`` does, starting from 0.0;
     - ``slots``: the (num, width) map of each segment's rows in input order,
       padded with E (one past the last row); width is the largest count,
-      at least 1.
+      at least 1;
+    - ``pos``: the slot of each row within its segment;
+    - ``by_count``: the segments by descending count, ties in index order,
+      and ``live``: ``live[k]`` segments have more than k rows, so slot k
+      of ``slots[by_count]`` holds a row in exactly its first ``live[k]``
+      entries.
     """
 
-    __slots__ = ("idx", "num", "counts", "denom", "incidence", "slots")
+    __slots__ = ("idx", "num", "counts", "denom", "incidence", "slots", "pos",
+                 "by_count", "live")
 
     def __init__(self, idx, num: int):
         idx = np.array(idx, dtype=np.int64)
@@ -137,14 +155,20 @@ class SegmentLayout:
         order = np.argsort(idx, kind="stable")
         indptr = np.concatenate([[0], np.cumsum(counts)])
         seg = idx[order]
-        slots = np.full((num, max(int(counts.max(initial=0)), 1)), e, dtype=np.int64)
-        slots[seg, np.arange(e) - indptr[seg]] = order
+        width = max(int(counts.max(initial=0)), 1)
+        pos = np.empty(e, dtype=np.int64)
+        pos[order] = np.arange(e) - indptr[seg]
+        slots = np.full((num, width), e, dtype=np.int64)
+        slots[idx, pos] = np.arange(e)
         self.idx = idx
         self.num = num
         self.counts = counts
         self.denom = np.maximum(counts, 1).astype(np.float64)[:, None]
         self.incidence = sp.csr_matrix((np.ones(e), order, indptr), shape=(num, e))
         self.slots = slots
+        self.pos = pos
+        self.by_count = np.argsort(-counts, kind="stable")
+        self.live = num - np.cumsum(np.bincount(counts, minlength=width))[:width]
 
 
 def _require_rows(a: Tensor, lay: SegmentLayout) -> None:
@@ -165,33 +189,75 @@ def gather_rows(a: Tensor, lay: SegmentLayout) -> Tensor:
     return _make(a.value[lay.idx], (a,), bw, "gather_rows")
 
 
-def edge_linear(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Tensor:
-    """Rows ``[f_i || f_i - f_j] @ w`` over the directed edges (i, j) of an
-    edge layout pair, one row per edge, without building the per-edge
-    concat: with ``w = [w_top; w_bot]`` the row is
-    ``p[i] + (q[i] - q[j])`` for ``p = f @ w_top`` and ``q = f @ w_bot``,
-    two products over the nodes gathered per edge.  As in the concat form,
-    an edge whose ends have equal features gets ``p[i]`` exactly, with no
-    dependence on ``w_bot``."""
+def edge_max(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Tensor:
+    """Per node i, the column-wise max of ``[f_i || f_i - f_j] @ w`` over
+    the directed edges (i, j) of an edge layout pair, without per-edge rows.
+
+    With ``w = [w_top; w_bot]``, ``p = f @ w_top`` and ``q = f @ w_bot``,
+    edge (i, j) has the row ``(q_i - q_j) + p_i``.  Rounded subtraction and
+    addition never decrease, so the largest of these rows is, bit for bit,
+    ``(q_i - m_i) + p_i`` for ``m_i`` the column-wise min of ``q`` over i's
+    senders.  A node with no edges gets 0 and no gradient.
+
+    The min is taken one slot at a time over the nodes with that many edges,
+    so only (N, F) arrays are built.  The gradient goes to ``p_i`` and
+    ``q_i``, and its negation to ``q`` of the first sender, in input order,
+    that attains the min: on an exact tie, the edge `segment_max` over the
+    per-edge rows would pick.  Each sender adds those negated terms in input
+    order, as the per-edge form does.
+    """
     n, width = f.value.shape
     if w.value.shape[0] != 2 * width:
-        raise AutodiffError(f"edge_linear weight {w.shape} for features {f.shape}")
+        raise AutodiffError(f"edge_max weight {w.shape} for features {f.shape}")
     if src.num != n or dst.num != n or src.idx.size != dst.idx.size:
         raise AutodiffError(f"edge layouts over {src.num} and {dst.num} nodes, "
                             f"{src.idx.size} and {dst.idx.size} edges, used for {n} nodes")
     w_top, w_bot = w.value[:width], w.value[width:]
     q = f.value @ w_bot
-    out = q[src.idx]
-    out -= q[dst.idx]
-    out += (f.value @ w_top)[src.idx]
+    # the sender in slot k of each node, nodes by descending edge count; a
+    # padding slot names node 0 and is never read
+    senders = np.append(dst.idx, 0)[src.slots[src.by_count]]
+    m = np.full_like(q, np.inf)  # rows by descending edge count
+    for k, live in enumerate(src.live):
+        # np.minimum returns its second argument of two equal values, so a
+        # zero min takes the sign of the last zero sender, as segment_max
+        # keeps the last zero row
+        np.minimum(m[:live], q[senders[:live, k]], out=m[:live])
+    out = np.empty_like(q)
+    out[src.by_count] = m
+    np.subtract(q, out, out=out)
+    out += f.value @ w_top
+    out[src.counts == 0] = 0.0
 
     def bw(g):
-        ga = src.incidence @ g
-        gd = ga - dst.incidence @ g
+        # the first slot whose sender attains the min; a masked write of k
+        # is many times slower than this arithmetic on unpredictable masks
+        win = np.zeros(m.shape, dtype=np.min_scalar_type(src.slots.shape[1]))
+        for k in range(len(src.live) - 1, -1, -1):
+            live = src.live[k]
+            hit = q[senders[:live, k]] == m[:live]
+            win[:live] -= (win[:live] - k) * hit
+        first = np.empty_like(win)
+        first[src.by_count] = win
+        ga = g + 0.0  # the per-edge form held 0.0 + g at the winning edge
+        ga[src.counts == 0] = 0.0
+        # per sender, the winning edges' gradients in input order, sender
+        # rows by descending count of incoming edges
+        into, pos = dst.slots[dst.by_count], src.pos.astype(first.dtype)
+        back = np.zeros_like(ga)
+        for k, live in enumerate(dst.live):
+            edge = into[:live, k]
+            node = src.idx[edge]
+            term = ga[node]
+            term *= first[node] == pos[edge][:, None]
+            back[:live] += term
+        gd = np.empty_like(ga)
+        gd[dst.by_count] = back
+        np.subtract(ga, gd, out=gd)
         return (ga @ w_top.T + gd @ w_bot.T,
                 np.concatenate([f.value.T @ ga, f.value.T @ gd]))
 
-    return _make(out, (f, w), bw, "edge_linear")
+    return _make(out, (f, w), bw, "edge_max")
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -105,7 +105,7 @@ def init_params(h: HyperParams, seed: int = 0) -> dict[str, Tensor]:
 def edge_conv(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Tensor:
     """Max over neighbors j of MLP(f_i || f_i - f_j), over the directed
     edges of an `edge_layouts` pair."""
-    return ad.segment_max(ad.leaky_relu(ad.edge_linear(f, src, dst, w), LEAKY_ALPHA), src)
+    return ad.leaky_relu(ad.edge_max(f, src, dst, w), LEAKY_ALPHA)
 
 
 def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,

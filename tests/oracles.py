@@ -2,9 +2,9 @@
 
 These are written for clarity, not speed: a sequential queue-based
 distance-field search, an all-pairs vertex dedup scan, a central
-finite-difference gradient helper, the per-edge concat form of the edge
-convolution and the whole-array Adam step.  Test code compares the
-package against these, never the other way around.
+finite-difference gradient helper, the edge convolution with one row per
+edge (as products and as a concat) and the whole-array Adam step.  Test
+code compares the package against these, never the other way around.
 """
 from __future__ import annotations
 
@@ -134,6 +134,36 @@ def finite_difference(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def edge_linear(f, src, dst, w):
+    """Rows ``[f_i || f_i - f_j] @ w``, one per directed edge (i, j) of an
+    edge layout pair, as ``p[i] + (q[i] - q[j])`` for ``p = f @ w_top`` and
+    ``q = f @ w_bot``, two products over the nodes gathered per edge."""
+    n, width = f.value.shape
+    if w.value.shape[0] != 2 * width:
+        raise ad.AutodiffError(f"edge_linear weight {w.shape} for features {f.shape}")
+    if src.num != n or dst.num != n or src.idx.size != dst.idx.size:
+        raise ad.AutodiffError("edge layouts do not match the features")
+    w_top, w_bot = w.value[:width], w.value[width:]
+    q = f.value @ w_bot
+    out = q[src.idx]
+    out -= q[dst.idx]
+    out += (f.value @ w_top)[src.idx]
+
+    def bw(g):
+        ga = src.incidence @ g
+        gd = ga - dst.incidence @ g
+        return (ga @ w_top.T + gd @ w_bot.T,
+                np.concatenate([f.value.T @ ga, f.value.T @ gd]))
+
+    return ad._make(out, (f, w), bw, "edge_linear")
+
+
+def edge_rows_conv(f, src, dst, w, alpha: float):
+    """Edge convolution with one row per edge: `edge_linear`, a leaky ReLU
+    and the max over each node's edges."""
+    return ad.segment_max(ad.leaky_relu(edge_linear(f, src, dst, w), alpha), src)
 
 
 def concat_edge_conv(f, src, dst, w, alpha: float):

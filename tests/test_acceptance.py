@@ -186,8 +186,8 @@ def test_criterion_04_gradient_verification():
         (lambda p: ad.tsum(sq(ad.broadcast_rows(p, 4))), rng.standard_normal((1, 3))),
         # built without drawing from rng, so every later case keeps its inputs
         (lambda p: ad.tsum(ad.mul(ad.reshape(p, (2, -1)), Tensor(other.reshape(2, 6)))), other[::-1].copy()),
-        (lambda p: ad.tsum(sq(ad.edge_linear(p, *edges, Tensor(other)))), other[:, 1:].copy()),
-        (lambda p: ad.tsum(sq(ad.edge_linear(Tensor(other[:, :2]), *edges, p))), other[::-1].copy()),
+        (lambda p: ad.tsum(sq(ad.edge_max(p, *edges, Tensor(other)))), other[:, 1:].copy()),
+        (lambda p: ad.tsum(sq(ad.edge_max(Tensor(other[:, :2]), *edges, p))), other[::-1].copy()),
         (lambda p: ad.tsum(sq(ad.segment_max(p, seg))), rng.standard_normal((4, 2)) + np.arange(4)[:, None]),
         (lambda p: ad.tsum(sq(ad.segment_mean(p, seg))), rng.standard_normal((4, 2))),
         (lambda p: ad.tsum(sq(ad.segment_var(p, seg))), rng.standard_normal((4, 2))),

@@ -43,6 +43,35 @@ class TestForwardValues:
         grads = ad.backward(loss, {"p": p})
         assert grads["p"][0] == pytest.approx(0.2)
 
+    def test_leaky_relu_slope_sums_to_one(self):
+        alphas = np.random.default_rng(23).uniform(0.0, 1.0, 100_000)
+        alphas[:3] = 0.0, 5e-324, 1.0
+        assert np.all((1.0 - alphas) + alphas == 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 5e-324, 0.2, 0.3, 0.5, 0.7, 1.0])
+    def test_leaky_relu_matches_where_forms(self, alpha):
+        # max(a, alpha * a) and g * slope against where(a >= 0, a, alpha * a)
+        # and where(a >= 0, g, alpha * g), byte for byte, signed zeros and
+        # subnormals included
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((40, 9))
+        a[::3, 1] = 0.0
+        a[1::3, 2] = -0.0
+        a[::4, 3] = 5e-324
+        a[1::4, 4] = -5e-324
+        g = rng.standard_normal(a.shape)
+        g[::2, 1:3] = -0.0
+        p = param(a)
+        out = ad.leaky_relu(p, alpha)
+        grad = ad.backward(ad.tsum(ad.mul(out, Tensor(g))), {"p": p})["p"]
+        assert out.value.tobytes() == np.where(a >= 0, a, alpha * a).tobytes()
+        assert grad.tobytes() == np.where(a >= 0, g, alpha * g).tobytes()
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_leaky_relu_slope_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(AutodiffError, match="slope"):
+            ad.leaky_relu(param([1.0, -1.0]), alpha)
+
     def test_segment_statistics(self):
         x = param([[1.0], [5.0], [3.0]])
         lay = ad.SegmentLayout([0, 0, 1], 2)
@@ -149,14 +178,14 @@ class TestPrimitiveGradients:
         check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (6, 2)), ad.reshape(p, (6, 2)))),
                        rng.standard_normal((3, 4)))
 
-    def test_edge_linear(self):
+    def test_edge_max(self):
         rng = np.random.default_rng(18)
         src, dst = ad.SegmentLayout([0, 0, 1, 2, 3, 3], 4), ad.SegmentLayout([1, 3, 0, 2, 0, 1], 4)
         f, w = rng.standard_normal((4, 3)), rng.standard_normal((6, 2))
-        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_linear(p, src, dst, Tensor(w)),
-                                                ad.edge_linear(p, src, dst, Tensor(w)))), f)
-        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_linear(Tensor(f), src, dst, p),
-                                                ad.edge_linear(Tensor(f), src, dst, p))), w)
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_max(p, src, dst, Tensor(w)),
+                                                ad.edge_max(p, src, dst, Tensor(w)))), f)
+        check_gradient(lambda p: ad.tsum(ad.mul(ad.edge_max(Tensor(f), src, dst, p),
+                                                ad.edge_max(Tensor(f), src, dst, p))), w)
 
     def test_row_softmax(self):
         rng = np.random.default_rng(17)
@@ -457,6 +486,9 @@ class TestSegmentLayout:
         assert lay.counts.tolist() == [1, 0, 3, 0]
         assert lay.incidence.indices.tolist() == [1, 0, 2, 3]
         assert lay.slots.tolist() == [[1, 4, 4], [4, 4, 4], [0, 2, 3], [4, 4, 4]]
+        assert lay.pos.tolist() == [0, 0, 1, 2]
+        assert lay.by_count.tolist() == [2, 0, 1, 3]
+        assert lay.live.tolist() == [2, 1, 1]
 
     def test_index_is_a_read_only_copy(self):
         idx = np.array([0, 1])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from heterskin import cli, hgraph, model, synthgen
 from heterskin.autodiff import Tensor
 from heterskin.rigcore import RigError, WeightRows, save_rig
 
-from oracles import concat_edge_conv, finite_difference, max_relative_error
+from oracles import concat_edge_conv, edge_rows_conv, finite_difference, max_relative_error
 
 
 def micro_hyper():
@@ -102,7 +103,7 @@ class TestSkeletonConv:
 
 
 class TestEdgeLinear:
-    # `edge_conv` through `edge_linear` against the per-edge concat form,
+    # `edge_conv` against the per-edge concat form,
     # on the ring, geodesic and skeleton layouts of a rig graph.  The largest
     # difference relative to the largest entry of the output, the f gradient
     # and the w gradient, over the three relations, is 2.2e-16, 2.4e-16 and
@@ -133,9 +134,120 @@ class TestEdgeLinear:
         src, dst = hgraph.edge_layouts(hgraph.directed_edges(np.array([[0, 1], [2, 3]]), n), n)
         f = Tensor(np.ones((n, 3)))
         with pytest.raises(ad.AutodiffError, match="weight"):
-            ad.edge_linear(f, src, dst, Tensor(np.ones((5, 2))))
+            ad.edge_max(f, src, dst, Tensor(np.ones((5, 2))))
         with pytest.raises(ad.AutodiffError, match="edge layouts"):
-            ad.edge_linear(Tensor(np.ones((n + 1, 3))), src, dst, Tensor(np.ones((6, 2))))
+            ad.edge_max(Tensor(np.ones((n + 1, 3))), src, dst, Tensor(np.ones((6, 2))))
+        with pytest.raises(ad.AutodiffError, match="edge layouts"):
+            ad.edge_max(f, src, ad.SegmentLayout(dst.idx[1:], n), Tensor(np.ones((6, 2))))
+
+
+def _check_edge_rows(f, layouts, w, g):
+    """`edge_conv` against `segment_max(leaky_relu(edge_linear(...)))`:
+    equal output bytes, and equal f and w gradient bytes for the upstream
+    gradient g.  Returns the output and the gradients."""
+    got = model.edge_conv(f, *layouts, w)
+    want = edge_rows_conv(f, *layouts, w, model.LEAKY_ALPHA)
+    got_g = ad.backward(ad.tsum(ad.mul(got, Tensor(g))), {"f": f, "w": w})
+    want_g = ad.backward(ad.tsum(ad.mul(want, Tensor(g))), {"f": f, "w": w})
+    assert got.value.tobytes() == want.value.tobytes()
+    for name in ("f", "w"):
+        assert got_g[name].tobytes() == want_g[name].tobytes(), name
+    return got, got_g
+
+
+class TestEdgeMax:
+    @pytest.mark.parametrize("dims", ["micro", "tiny", "default"])
+    def test_matches_edge_rows(self, dims, small_sample, tiny_hyper):
+        h = {"micro": micro_hyper(), "tiny": tiny_hyper, "default": model.HyperParams()}[dims]
+        graph = micro_sample().graph if dims == "micro" else small_sample.graph
+        n = graph.num_vertices
+        rng = np.random.default_rng(41)
+        keep = rng.random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
+        dropped = hgraph.edge_layouts(hgraph.directed_edges(graph.mesh_edges[keep], n), n)
+        for layouts, width in ((graph.ring_layouts, h.vertex_local), (dropped, h.vertex_local),
+                               (graph.geo_layouts, h.vertex_local),
+                               (graph.skel_layouts, h.bone_local)):
+            f = Tensor(rng.standard_normal((layouts[0].num, width)), name="f")
+            w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng), name="w")
+            _check_edge_rows(f, layouts, w, rng.standard_normal((layouts[0].num, width)))
+
+    def test_exact_ties_go_to_the_first_edge(self):
+        # senders 1, 2 and 3 share one feature row, so every column of nodes
+        # 0 and 4 ties; zero rows tie as well
+        rng = np.random.default_rng(43)
+        f = rng.standard_normal((6, 4))
+        f[2] = f[3] = f[1]
+        f[5] = 0.0
+        src = [0, 0, 0, 4, 4, 4, 5, 5, 1, 2, 3]
+        dst = [3, 1, 2, 2, 5, 3, 5, 1, 0, 0, 4]
+        layouts = (ad.SegmentLayout(src, 6), ad.SegmentLayout(dst, 6))
+        w = Tensor(rng.standard_normal((8, 3)), name="w")
+        _check_edge_rows(Tensor(f, name="f"), layouts, w, rng.standard_normal((6, 3)))
+        _check_edge_rows(Tensor(np.zeros((6, 4)), name="f"), layouts, w, rng.standard_normal((6, 3)))
+        # a gradient on node 0 alone reaches sender 3, its first edge's, only
+        g = np.zeros((6, 3))
+        g[0] = rng.standard_normal(3)
+        _, grads = _check_edge_rows(Tensor(f, name="f"), layouts, w, g)
+        assert np.all(grads["f"][1:3] == 0.0) and np.all(grads["f"][3] != 0.0)
+
+    def test_self_loop_only_node(self):
+        # node 2 has only its self-loop: its row is p_2 exactly, and a gradient
+        # on that row alone leaves w_bot untouched
+        rng = np.random.default_rng(47)
+        f = rng.standard_normal((3, 4))
+        layouts = (ad.SegmentLayout([0, 1, 2], 3), ad.SegmentLayout([1, 0, 2], 3))
+        w = Tensor(rng.standard_normal((8, 5)), name="w")
+        g = np.zeros((3, 5))
+        g[2] = rng.standard_normal(5)
+        out = ad.edge_max(Tensor(f), *layouts, w)
+        assert out.value[2].tobytes() == (f @ w.value[:4])[2].tobytes()
+        _, grads = _check_edge_rows(Tensor(f, name="f"), layouts, w, g)
+        assert np.all(grads["w"][4:] == 0.0) and np.any(grads["w"][:4] != 0.0)
+
+    def test_empty_segment(self):
+        # node 3 has no edges either way: row 0 and no gradient
+        rng = np.random.default_rng(53)
+        layouts = (ad.SegmentLayout([0, 1, 1, 2], 4), ad.SegmentLayout([1, 0, 2, 2], 4))
+        f = Tensor(rng.standard_normal((4, 3)), name="f")
+        w = Tensor(rng.standard_normal((6, 2)), name="w")
+        out, grads = _check_edge_rows(f, layouts, w, rng.standard_normal((4, 2)))
+        assert out.value[3].tolist() == [0.0, 0.0]
+        assert grads["f"][3].tolist() == [0.0, 0.0, 0.0]
+
+    def test_forward_tape_holds_no_edge_rows(self, small_sample, tiny_hyper):
+        # no node of a forward pass, nor an array its backward keeps, has as
+        # many rows as the directed ring edges
+        graph = small_sample.graph
+        edges = graph.ring_layouts[0].idx.size
+        assert edges > 2 * graph.num_vertices
+        stack = [model.forward(graph, model.init_params(tiny_hyper), tiny_hyper)]
+        seen = set()
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            cells = getattr(node.backward_fn, "__closure__", None) or ()
+            for a in [node.value, *(c.cell_contents for c in cells)]:
+                if isinstance(a, np.ndarray) and a.ndim:
+                    assert a.shape[0] < edges
+            stack.extend(node.parents)
+        assert len(seen) > 100
+
+    def test_forward_peak_memory_is_node_sized(self):
+        # E = 32 N: one (E, F) float array alone would be 32 N F 8 bytes
+        n, width, fan = 2000, 64, 32
+        rng = np.random.default_rng(59)
+        layouts = hgraph.edge_layouts((np.repeat(np.arange(n), fan), rng.integers(0, n, n * fan)), n)
+        f = Tensor(rng.standard_normal((n, width)))
+        w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng))
+        tracemalloc.start()
+        try:
+            model.edge_conv(f, *layouts, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * width * 8
 
 
 def _loop_neighbor_edges(neighbors):

@@ -260,14 +260,53 @@ def edge_max(f: Tensor, src: SegmentLayout, dst: SegmentLayout, w: Tensor) -> Te
     return _make(out, (f, w), bw, "edge_max")
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    """The entries of ``a`` in C order, in a new shape."""
-    return _make(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),),
-                 "reshape")
+def gather_matmul(parts: list[tuple[Tensor, SegmentLayout | None]], w: Tensor) -> Tensor:
+    """``[x_0[i_0] || x_1[i_1] || ...] @ w`` without the gathered rows.
+
+    Part p is a tensor ``x_p`` and a layout over its rows whose ``idx``
+    names the row each output row reads, or None when the rows of ``x_p``
+    are the output rows.  With ``w_p`` the row block of ``w`` for part p,
+    and since ``x[idx] @ w_p = (x @ w_p)[idx]``, the product is
+    ``sum_p (x_p @ w_p)[i_p]``: a part of B rows read by N output rows is
+    multiplied on its B rows.  Parts add in order, each product rounded on
+    its own, so the last bits differ from one product over the
+    concatenated rows.  The backward collects each part's row gradient
+    with one sparse product, ``G_p = incidence @ g`` (input order, from
+    0.0), and returns ``G_p @ w_p.T`` and ``x_p.T @ G_p``.
+    """
+    if not parts:
+        raise AutodiffError("gather_matmul needs at least one part")
+    widths = [x.value.shape[1] for x, _ in parts]
+    if sum(widths) != w.value.shape[0]:
+        raise AutodiffError(f"gather_matmul parts of widths {widths} for weight {w.shape}")
+    rows = {x.value.shape[0] if lay is None else lay.idx.size for x, lay in parts}
+    if len(rows) != 1:
+        raise AutodiffError(f"gather_matmul parts read {sorted(rows)} rows")
+    for x, lay in parts:
+        if lay is not None and lay.num != x.value.shape[0]:
+            raise AutodiffError(f"segment layout over {lay.num} segments used for "
+                                f"{x.value.shape[0]} rows")
+    offsets = np.cumsum([0] + widths)
+    blocks = [w.value[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    out = None
+    for (x, lay), wp in zip(parts, blocks):
+        y = x.value @ wp if lay is None else (x.value @ wp)[lay.idx]
+        out = y if out is None else np.add(out, y, out=out)
+
+    def bw(g):
+        row_grads = [g if lay is None else lay.incidence @ g for _, lay in parts]
+        dw = np.empty(w.value.shape)
+        for (x, _), gp, lo, hi in zip(parts, row_grads, offsets[:-1], offsets[1:]):
+            np.matmul(x.value.T, gp, out=dw[lo:hi])
+        return (*(gp @ wp.T for gp, wp in zip(row_grads, blocks)), dw)
+
+    return _make(out, (*(x for x, _ in parts), w), bw, "gather_matmul")
 
 
 def broadcast_rows(a: Tensor, n: int) -> Tensor:
-    """Tile a (1, F) row to (n, F); backward sums over rows."""
+    """Tile a (1, F) row to (n, F); backward sums over rows.  The network
+    reads its global rows through `gather_matmul` instead; `perfbench`
+    wraps this op by name."""
     if a.value.shape[0] != 1:
         raise AutodiffError("broadcast_rows expects a single-row tensor")
     return _make(np.repeat(a.value, n, axis=0), (a,),

@@ -233,6 +233,8 @@ def cmd_deform(args) -> int:
 
 
 def cmd_stats_topk(args) -> int:
+    if args.kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {args.kmax}")
     paths = synthgen.load_manifest(args.data)
     h = model.HyperParams(resolution=args.resolution)
     pairs = []
@@ -247,7 +249,7 @@ def cmd_stats_topk(args) -> int:
     with open(args.out, "w") as f:
         f.write("k,weight_mass_ratio,influential_ratio\n")
         for k in range(args.kmax):
-            f.write(f"{k + 1},{mass[k]!r},{infl[k]!r}\n")
+            f.write(f"{k + 1},{float(mass[k])!r},{float(infl[k])!r}\n")
     print(f"coverage table for K=1..{args.kmax} -> {args.out}")
     return 0
 

@@ -99,6 +99,12 @@ class HeterGraph:
                 SegmentLayout(self.topk.reshape(-1), self.num_bones))
 
     @cached_property
+    def topk_columns(self) -> tuple[SegmentLayout, ...]:
+        """One layout over the B bones per column j of topk: vertex i reads
+        bone topk[i, j]."""
+        return tuple(SegmentLayout(col, self.num_bones) for col in self.topk.T)
+
+    @cached_property
     def pool_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
         """One segment over all vertices and one over all bones."""
         return (SegmentLayout(np.zeros(self.num_vertices, dtype=np.int64), 1),

@@ -127,18 +127,21 @@ def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentL
     return ad.leaky_relu(ad.matmul(h, w), LEAKY_ALPHA)
 
 
-def topk_features(f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout]) -> Tensor:
-    """(N, K*F): each vertex's Top-K bone rows side by side, nearest first,
-    from one gather over the slots."""
-    vertex_of_slot, bone_of_slot = topk
-    return ad.reshape(ad.gather_rows(f_b, bone_of_slot), (vertex_of_slot.num, -1))
-
-
-def bone_to_vertex(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
+def bone_to_vertex(f_v: Tensor, f_b: Tensor, columns: tuple[SegmentLayout, ...],
                    w: Tensor) -> Tensor:
-    """Vertices concatenate their Top-K bones' features in distance order."""
-    h = ad.concat_cols([f_v, topk_features(f_b, topk)])
-    return ad.leaky_relu(ad.matmul(h, w), LEAKY_ALPHA)
+    """Vertices concatenate their Top-K bones' features in distance order;
+    ``columns`` holds one layout over the bones per Top-K column."""
+    parts = [(f_v, None), *((f_b, col) for col in columns)]
+    return ad.leaky_relu(ad.gather_matmul(parts, w), LEAKY_ALPHA)
+
+
+def final_head(f_v: Tensor, f_b: Tensor, g_v: Tensor, g_b: Tensor,
+               columns: tuple[SegmentLayout, ...], pool: SegmentLayout, w: Tensor) -> Tensor:
+    """The first final layer's product: each vertex's features, its Top-K
+    bones' and the two global vectors side by side, times ``w``.  ``pool``
+    puts every vertex in segment 0, so each vertex reads the one global row."""
+    parts = [(f_v, None), *((f_b, col) for col in columns), (g_v, pool), (g_b, pool)]
+    return ad.gather_matmul(parts, w)
 
 
 def global_branch(f: Tensor, pool: SegmentLayout, w: Tensor) -> Tensor:
@@ -170,12 +173,13 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     else:
         ring = graph.ring_layouts
     geo, skel, topk = graph.geo_layouts, graph.skel_layouts, graph.topk_layouts
+    columns = graph.topk_columns
     vertex_pool, bone_pool = graph.pool_layouts
 
     bone_attr = Tensor(graph.bone_attr)
 
     # lift raw attributes through the first inter-graph convolution
-    f_v = bone_to_vertex(Tensor(graph.vertex_attr), bone_attr, topk, params["inter0.b2v"])
+    f_v = bone_to_vertex(Tensor(graph.vertex_attr), bone_attr, columns, params["inter0.b2v"])
     f_b = vertex_to_bone(f_v, bone_attr, topk, params["inter0.v2b"])
 
     f_v = mesh_conv(f_v, ring, geo, params["mesh0.ring"],
@@ -189,19 +193,15 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
         f_v = mesh_conv(f_v, ring, geo, params[f"stage{s}.mesh.ring"],
                         params[f"stage{s}.mesh.geo"], params[f"stage{s}.mesh.merge"])
         f_b = edge_conv(f_b, *skel, params[f"stage{s}.skel.conv"])
-        f_v = bone_to_vertex(f_v, f_b, topk, params[f"stage{s}.inter.b2v"])
+        f_v = bone_to_vertex(f_v, f_b, columns, params[f"stage{s}.inter.b2v"])
         f_b = vertex_to_bone(f_v, f_b, topk, params[f"stage{s}.inter.v2b"])
 
-    feat = ad.concat_cols([f_v, topk_features(f_b, topk),
-                           ad.broadcast_rows(g_v, n), ad.broadcast_rows(g_b, n)])
-
-    num_final = len(h.final_dims) + 1
-    for i in range(num_final):
+    feat = final_head(f_v, f_b, g_v, g_b, columns, vertex_pool, params["final.0"])
+    for i in range(1, len(h.final_dims) + 1):
+        feat = ad.leaky_relu(feat, LEAKY_ALPHA)
+        if rng is not None:
+            feat = ad.dropout(feat, FINAL_DROPOUT, rng)
         feat = ad.matmul(feat, params[f"final.{i}"])
-        if i < num_final - 1:
-            feat = ad.leaky_relu(feat, LEAKY_ALPHA)
-            if rng is not None:
-                feat = ad.dropout(feat, FINAL_DROPOUT, rng)
     return ad.row_softmax(feat)
 
 

@@ -3,7 +3,8 @@
 These are written for clarity, not speed: a sequential queue-based
 distance-field search, an all-pairs vertex dedup scan, a central
 finite-difference gradient helper, the edge convolution with one row per
-edge (as products and as a concat) and the whole-array Adam step.  Test
+edge (as products and as a concat), the bone-to-vertex and final-head
+products over concatenated rows, and the whole-array Adam step.  Test
 code compares the package against these, never the other way around.
 """
 from __future__ import annotations
@@ -174,6 +175,36 @@ def concat_edge_conv(f, src, dst, w, alpha: float):
     fj = ad.gather_rows(f, dst)
     h = ad.concat_cols([fi, ad.sub(fi, fj)])
     return ad.segment_max(ad.leaky_relu(ad.matmul(h, w), alpha), src)
+
+
+def reshape(a, shape):
+    """The entries of ``a`` in C order, in a new shape."""
+    return ad._make(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),),
+                    "reshape")
+
+
+def topk_rows(f_b, topk):
+    """(N, K*F): each vertex's Top-K bone rows side by side, nearest first,
+    from one gather over the slots of a ``(vertex_of_slot, bone_of_slot)``
+    layout pair and a reshape."""
+    vertex_of_slot, bone_of_slot = topk
+    return reshape(ad.gather_rows(f_b, bone_of_slot), (vertex_of_slot.num, -1))
+
+
+def concat_bone_to_vertex(f_v, f_b, topk, w, alpha: float):
+    """Bone-to-vertex convolution as one product over the concatenated rows
+    ``[f_v || Top-K bone rows]``, then a leaky ReLU."""
+    return ad.leaky_relu(ad.matmul(ad.concat_cols([f_v, topk_rows(f_b, topk)]), w), alpha)
+
+
+def concat_final_head(f_v, f_b, g_v, g_b, topk, w):
+    """The first final layer's product over the concatenated rows
+    ``[f_v || Top-K bone rows || g_v || g_b]``, the global rows copied to
+    every vertex with `broadcast_rows`."""
+    n = f_v.value.shape[0]
+    rows = ad.concat_cols([f_v, topk_rows(f_b, topk), ad.broadcast_rows(g_v, n),
+                           ad.broadcast_rows(g_b, n)])
+    return ad.matmul(rows, w)
 
 
 def allocating_adam_step(params, grads, state, lr: float = 1e-4, wd: float = 1e-4,

@@ -16,7 +16,7 @@ from heterskin.autodiff import Tensor
 from heterskin.rigcore import Rig, WeightRows
 
 from handbuilt import TINY
-from oracles import finite_difference, max_relative_error, reference_bfs
+from oracles import finite_difference, max_relative_error, reference_bfs, reshape
 from test_model import micro_hyper, micro_sample
 
 # Overfit-ratio threshold for criterion 06, calibrated from this build's
@@ -173,6 +173,11 @@ def test_criterion_04_gradient_verification():
     seg = ad.SegmentLayout([0, 1, 0, 2], 3)
     edges = (ad.SegmentLayout([0, 0, 1, 2, 3, 3], 4), ad.SegmentLayout([1, 2, 0, 3, 3, 1], 4))
     sq = lambda t: ad.mul(t, t)
+    # [other || x[seg] || other[0, 1:] per row] @ w
+    pool = ad.SegmentLayout([0, 0, 0, 0], 1)
+    gather_mm = lambda x, w: ad.gather_matmul(
+        [(Tensor(other), None), (x, seg), (Tensor(other[:1, 1:]), pool)], w)
+    w_gm = np.vstack([other, other[:3]])
     cases = [
         (lambda p: ad.tsum(ad.matmul(Tensor(other), p)), rng.standard_normal((3, 2))),
         (lambda p: ad.tsum(sq(ad.add(p, Tensor(other)))), rng.standard_normal((4, 3))),
@@ -185,7 +190,9 @@ def test_criterion_04_gradient_verification():
         (lambda p: ad.tsum(sq(ad.gather_rows(p, seg))), rng.standard_normal((3, 2))),
         (lambda p: ad.tsum(sq(ad.broadcast_rows(p, 4))), rng.standard_normal((1, 3))),
         # built without drawing from rng, so every later case keeps its inputs
-        (lambda p: ad.tsum(ad.mul(ad.reshape(p, (2, -1)), Tensor(other.reshape(2, 6)))), other[::-1].copy()),
+        (lambda p: ad.tsum(ad.mul(reshape(p, (2, -1)), Tensor(other.reshape(2, 6)))), other[::-1].copy()),
+        (lambda p: ad.tsum(sq(gather_mm(p, Tensor(w_gm)))), other[1:, :2].copy()),
+        (lambda p: ad.tsum(sq(gather_mm(Tensor(other[1:, :2]), p))), w_gm),
         (lambda p: ad.tsum(sq(ad.edge_max(p, *edges, Tensor(other)))), other[:, 1:].copy()),
         (lambda p: ad.tsum(sq(ad.edge_max(Tensor(other[:, :2]), *edges, p))), other[::-1].copy()),
         (lambda p: ad.tsum(sq(ad.segment_max(p, seg))), rng.standard_normal((4, 2)) + np.arange(4)[:, None]),

@@ -7,7 +7,7 @@ import heterskin.autodiff as ad
 from heterskin import model
 from heterskin.autodiff import AutodiffError, Tensor
 
-from oracles import allocating_adam_step, finite_difference, max_relative_error
+from oracles import allocating_adam_step, finite_difference, max_relative_error, reshape
 
 
 def param(value, name="p"):
@@ -173,10 +173,27 @@ class TestPrimitiveGradients:
     def test_reshape(self):
         rng = np.random.default_rng(16)
         weights = rng.standard_normal((2, 6))
-        check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (2, -1)), Tensor(weights))),
+        check_gradient(lambda p: ad.tsum(ad.mul(reshape(p, (2, -1)), Tensor(weights))),
                        rng.standard_normal((4, 3)))
-        check_gradient(lambda p: ad.tsum(ad.mul(ad.reshape(p, (6, 2)), ad.reshape(p, (6, 2)))),
+        check_gradient(lambda p: ad.tsum(ad.mul(reshape(p, (6, 2)), reshape(p, (6, 2)))),
                        rng.standard_normal((3, 4)))
+
+    def test_gather_matmul(self):
+        # rows of their own, a part read twice through two layouts and a
+        # one-row part read by every row
+        rng = np.random.default_rng(20)
+        first, second = ad.SegmentLayout([2, 0, 1, 2, 2], 3), ad.SegmentLayout([1, 1, 0, 2, 0], 3)
+        pool = ad.SegmentLayout([0] * 5, 1)
+        own, one = rng.standard_normal((5, 2)), rng.standard_normal((1, 3))
+        x, w = rng.standard_normal((3, 4)), rng.standard_normal((2 + 4 + 4 + 3, 3))
+
+        def gm(x, w):
+            out = ad.gather_matmul([(Tensor(own), None), (x, first), (x, second),
+                                    (Tensor(one), pool)], w)
+            return ad.tsum(ad.mul(out, out))
+
+        check_gradient(lambda p: gm(p, Tensor(w)), x)
+        check_gradient(lambda p: gm(Tensor(x), p), w)
 
     def test_edge_max(self):
         rng = np.random.default_rng(18)
@@ -212,6 +229,45 @@ class TestPrimitiveGradients:
         grads = ad.backward(ad.tsum(out), {"p": x})
         assert np.array_equal(grads["p"] != 0, mask)
         assert np.allclose(grads["p"][mask], 2.0)
+
+
+class TestGatherMatmul:
+    def test_products_before_the_gather(self):
+        # each part's product on its own rows, read per output row and added
+        # in part order, byte for byte
+        rng = np.random.default_rng(25)
+        lay = ad.SegmentLayout([3, 0, 0, 2, 1, 3], 4)
+        own, x = rng.standard_normal((6, 5)), rng.standard_normal((4, 3))
+        w = rng.standard_normal((8, 7))
+        out = ad.gather_matmul([(Tensor(own), None), (Tensor(x), lay)], Tensor(w))
+        assert out.value.tobytes() == (own @ w[:5] + (x @ w[5:])[lay.idx]).tobytes()
+        concat = np.concatenate([own, x[lay.idx]], axis=1) @ w
+        assert np.abs(out.value - concat).max() <= 1e-14 * np.abs(concat).max()
+
+    def test_gradients_sum_rows_through_the_incidence(self):
+        rng = np.random.default_rng(27)
+        lay = ad.SegmentLayout([1, 1, 0, 1], 3)  # row 2 of x is read by no row
+        x = Tensor(rng.standard_normal((3, 2)), name="x")
+        w = Tensor(rng.standard_normal((2, 4)), name="w")
+        g = rng.standard_normal((4, 4))
+        out = ad.gather_matmul([(x, lay)], w)
+        grads = ad.backward(ad.tsum(ad.mul(out, Tensor(g))), {"x": x, "w": w})
+        rows = lay.incidence @ g
+        assert grads["x"].tobytes() == (rows @ w.value.T).tobytes()
+        assert grads["w"].tobytes() == (x.value.T @ rows).tobytes()
+        assert grads["x"][2].tolist() == [0.0, 0.0]
+
+    def test_rejects_mismatched_parts(self):
+        lay = ad.SegmentLayout([0, 1, 1], 2)
+        own, x = Tensor(np.ones((3, 2))), Tensor(np.ones((2, 4)))
+        with pytest.raises(AutodiffError, match="at least one part"):
+            ad.gather_matmul([], Tensor(np.ones((1, 1))))
+        with pytest.raises(AutodiffError, match="widths"):
+            ad.gather_matmul([(own, None), (x, lay)], Tensor(np.ones((5, 3))))
+        with pytest.raises(AutodiffError, match="read"):
+            ad.gather_matmul([(Tensor(np.ones((4, 2))), None), (x, lay)], Tensor(np.ones((6, 3))))
+        with pytest.raises(AutodiffError, match="2 segments used for 3"):
+            ad.gather_matmul([(own, None), (Tensor(np.ones((3, 4))), lay)], Tensor(np.ones((6, 3))))
 
 
 class TestAdam:

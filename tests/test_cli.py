@@ -131,8 +131,13 @@ class TestPipeline:
         assert run(["stats", "topk", "--data", str(data_dir), "--kmax", "4",
                     "--out", str(out), "--resolution", "32"]) == 0
         lines = out.read_text().strip().splitlines()
-        assert len(lines) == 5  # header + one row per K
-        assert lines[0].split(",")[0] == "k"
+        assert lines[0] == "k,weight_mass_ratio,influential_ratio"
+        rows = np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (4, 3)  # one row per K
+        assert rows[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        curves = rows[:, 1:]
+        assert np.all((curves >= 0.0) & (curves <= 1.0))
+        assert np.all(np.diff(curves, axis=0) >= 0.0)
 
 
 class TestErrors:
@@ -166,6 +171,14 @@ class TestErrors:
         }))
         code = run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")])
         assert code == 1
+
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_stats_topk_kmax_below_one(self, data_dir, tmp_path, capsys, kmax):
+        out = tmp_path / "topk.csv"
+        assert run(["stats", "topk", "--data", str(data_dir), "--kmax", kmax,
+                    "--out", str(out), "--resolution", "32"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --kmax must be at least 1, got {kmax}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("option, value, message", [
         ("--epochs", "0", "--epochs must be at least 1, got 0"),

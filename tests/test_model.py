@@ -12,7 +12,8 @@ from heterskin import cli, hgraph, model, synthgen
 from heterskin.autodiff import Tensor
 from heterskin.rigcore import RigError, WeightRows, save_rig
 
-from oracles import concat_edge_conv, edge_rows_conv, finite_difference, max_relative_error
+from oracles import (concat_bone_to_vertex, concat_edge_conv, concat_final_head, edge_rows_conv,
+                     finite_difference, max_relative_error)
 
 
 def micro_hyper():
@@ -77,6 +78,11 @@ def topk_pair(topk, num_bones):
     n, k = topk.shape
     return (ad.SegmentLayout(np.repeat(np.arange(n), k), n),
             ad.SegmentLayout(topk.reshape(-1), num_bones))
+
+
+def topk_columns(topk, num_bones):
+    """One layout over the bones per column of an (N, K) Top-K table."""
+    return tuple(ad.SegmentLayout(col, num_bones) for col in topk.T)
 
 
 class TestSkeletonConv:
@@ -220,7 +226,8 @@ class TestEdgeMax:
         graph = small_sample.graph
         edges = graph.ring_layouts[0].idx.size
         assert edges > 2 * graph.num_vertices
-        stack = [model.forward(graph, model.init_params(tiny_hyper), tiny_hyper)]
+        params = model.init_params(tiny_hyper)
+        stack = [model.forward(graph, params, tiny_hyper)]
         seen = set()
         while stack:
             node = stack.pop()
@@ -232,7 +239,8 @@ class TestEdgeMax:
                 if isinstance(a, np.ndarray) and a.ndim:
                     assert a.shape[0] < edges
             stack.extend(node.parents)
-        assert len(seen) > 100
+        # the walk reached the bottom of the tape: every parameter is a leaf
+        assert {id(p) for p in params.values()} <= seen
 
     def test_forward_peak_memory_is_node_sized(self):
         # E = 32 N: one (E, F) float array alone would be 32 N F 8 bytes
@@ -324,8 +332,8 @@ class TestBoneToVertex:
         fv = Tensor(rng.standard_normal((1, 3)))
         fb = Tensor(rng.standard_normal((4, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
-        a = model.bone_to_vertex(fv, fb, topk_pair(np.array([[0, 1]]), 4), w)
-        b = model.bone_to_vertex(fv, fb, topk_pair(np.array([[1, 0]]), 4), w)
+        a = model.bone_to_vertex(fv, fb, topk_columns(np.array([[0, 1]]), 4), w)
+        b = model.bone_to_vertex(fv, fb, topk_columns(np.array([[1, 0]]), 4), w)
         assert not np.allclose(a.value, b.value)
 
     def test_identical_vertices_identical_outputs(self):
@@ -335,7 +343,7 @@ class TestBoneToVertex:
         fb = Tensor(rng.standard_normal((3, 2)))
         w = Tensor(rng.standard_normal((3 + 4, 3)), name="w")
         topk = np.array([[0, 2], [0, 2]])
-        out = model.bone_to_vertex(fv, fb, topk_pair(topk, 3), w)
+        out = model.bone_to_vertex(fv, fb, topk_columns(topk, 3), w)
         assert np.array_equal(out.value[0], out.value[1])
 
 
@@ -348,7 +356,8 @@ def _column_bone_to_vertex(f_v, f_b, topk, w, alpha):
 
 
 class TestOneTopKGather:
-    # The forward bytes match.  The f_b gradient sums a bone's K slots in
+    # The slot-gather form of `tests/oracles.py` against K column gathers:
+    # the forward bytes match.  The f_b gradient sums a bone's K slots in
     # one pass instead of column by column; its largest difference, relative
     # to the largest gradient entry, is 2.7e-16 (micro), 6.9e-16 (TINY) and
     # 9.3e-16 (default dims) here, at most 1.4e-15 over seeds 31-40.
@@ -362,7 +371,7 @@ class TestOneTopKGather:
         f_b = Tensor(rng.standard_normal((b, h.bone_local)), name="f_b")
         shape = (h.vertex_local + k * h.bone_local, h.vertex_local)
         w = Tensor(ad.kaiming_normal(shape, shape[0], rng), name="w")
-        got = model.bone_to_vertex(f_v, f_b, graph.topk_layouts, w)
+        got = concat_bone_to_vertex(f_v, f_b, graph.topk_layouts, w, alpha=0.2)
         want = _column_bone_to_vertex(f_v, f_b, graph.topk, w, alpha=0.2)
         assert got.value.tobytes() == want.value.tobytes()
 
@@ -370,6 +379,84 @@ class TestOneTopKGather:
         got_g = ad.backward(ad.tsum(ad.mul(got, g)), {"f_b": f_b})["f_b"]
         want_g = ad.backward(ad.tsum(ad.mul(want, g)), {"f_b": f_b})["f_b"]
         assert np.abs(got_g - want_g).max() <= 1e-14 * np.abs(want_g).max()
+
+
+def _tape_arrays(out):
+    """Every array of the tape that ends at ``out``: each node's value and
+    what its backward closure keeps, inside lists and tuples too.  Returns
+    the arrays and the number of nodes."""
+    arrays, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kept = [node.value, *(c.cell_contents for c in
+                              getattr(node.backward_fn, "__closure__", None) or ())]
+        while kept:
+            a = kept.pop()
+            if isinstance(a, np.ndarray):
+                arrays.append(a)
+            elif isinstance(a, (list, tuple)):
+                kept.extend(a)
+        stack.extend(node.parents)
+    return arrays, len(seen)
+
+
+class TestGatherMatmul:
+    # `bone_to_vertex` and `final_head` against the concatenated-row forms
+    # of `tests/oracles.py`, whose single products add in another order.
+    # The largest difference, relative to the largest entry, over the output
+    # and the f_v, f_b, g_v, g_b and w gradients of both layers is 4.4e-16
+    # (micro), 1.5e-15 (TINY) and 1.8e-15 (default dims) here, at most
+    # 2.1e-15 over seeds 31-40; the f_v gradients are equal.
+    @pytest.mark.parametrize("dims", ["micro", "tiny", "default"])
+    def test_matches_concat_forms(self, dims, small_sample, tiny_hyper):
+        h = {"micro": micro_hyper(), "tiny": tiny_hyper, "default": model.HyperParams()}[dims]
+        graph = micro_sample().graph if dims == "micro" else small_sample.graph
+        rng = np.random.default_rng(37)
+        n, b, k = graph.num_vertices, graph.num_bones, graph.k
+        f_v = Tensor(rng.standard_normal((n, h.vertex_local)), name="f_v")
+        f_b = Tensor(rng.standard_normal((b, h.bone_local)), name="f_b")
+        g_v = Tensor(rng.standard_normal((1, h.vertex_global)), name="g_v")
+        g_b = Tensor(rng.standard_normal((1, h.bone_global)), name="g_b")
+        shapes = model._param_shapes(h)
+        w_b2v = Tensor(ad.kaiming_normal(shapes["stage0.inter.b2v"], shapes["stage0.inter.b2v"][0],
+                                         rng), name="w")
+        w_head = Tensor(ad.kaiming_normal(shapes["final.0"], shapes["final.0"][0], rng), name="w")
+        cases = [
+            (model.bone_to_vertex(f_v, f_b, graph.topk_columns, w_b2v),
+             concat_bone_to_vertex(f_v, f_b, graph.topk_layouts, w_b2v, model.LEAKY_ALPHA),
+             {"f_v": f_v, "f_b": f_b, "w": w_b2v}),
+            (model.final_head(f_v, f_b, g_v, g_b, graph.topk_columns, graph.pool_layouts[0],
+                              w_head),
+             concat_final_head(f_v, f_b, g_v, g_b, graph.topk_layouts, w_head),
+             {"f_v": f_v, "f_b": f_b, "g_v": g_v, "g_b": g_b, "w": w_head}),
+        ]
+        for got, want, inputs in cases:
+            g = Tensor(rng.standard_normal(got.shape))
+            got_g = ad.backward(ad.tsum(ad.mul(got, g)), inputs)
+            want_g = ad.backward(ad.tsum(ad.mul(want, g)), inputs)
+            pairs = [(got.value, want.value)] + [(got_g[name], want_g[name]) for name in inputs]
+            for a, b in pairs:
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_training_tape_holds_no_gathered_rows(self, small_sample):
+        # at default dims, no node of a training pass nor an array its
+        # backward keeps has a vertex's Top-K bone rows (K * bone_local
+        # columns) or the whole final input (1,664 columns) on N rows
+        h = model.HyperParams()
+        graph = small_sample.graph
+        n = graph.num_vertices
+        wide = (h.k * h.bone_local, h.vertex_local + h.k * h.bone_local + h.vertex_global
+                + h.bone_global)
+        assert wide == (384, 1664) and n not in (384, 1664)
+        arrays, nodes = _tape_arrays(model.forward(graph, model.init_params(h), h,
+                                                   np.random.default_rng(0)))
+        assert nodes > 100
+        assert not [a.shape for a in arrays if a.ndim == 2 and a.shape[0] == n
+                    and a.shape[1] in wide]
 
 
 class TestGlobalBranch:
@@ -454,7 +541,8 @@ class TestGraphLayouts:
         cached = micro_sample().graph
         model.forward(cached, params, h)
         layouts = {name: cached.__dict__[name] for name in
-                   ("ring_layouts", "geo_layouts", "skel_layouts", "topk_layouts", "pool_layouts")}
+                   ("ring_layouts", "geo_layouts", "skel_layouts", "topk_layouts", "topk_columns",
+                   "pool_layouts")}
         for training in (False, True):
             fresh = micro_sample().graph
             assert "geo_layouts" not in fresh.__dict__

@@ -180,6 +180,7 @@ def cmd_graph(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
+    model.check_nonnegative(lr=args.lr, wd=args.wd)
     h = _hyper_from_args(args)
     paths = synthgen.load_manifest(args.data)
     if not paths:

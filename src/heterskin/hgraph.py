@@ -20,37 +20,13 @@ from .rigcore import Mesh, Skeleton
 GEO_CAP = 32  # most geodesic neighbours a vertex keeps, the nearest first
 
 
-def directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Both directions of undirected pairs plus self-loops for nodes that
-    would otherwise have no neighbors."""
-    if len(pairs):
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    present = np.zeros(n, dtype=bool)
-    present[src] = True
-    lonely = np.flatnonzero(~present)
-    return np.concatenate([src, lonely]), np.concatenate([dst, lonely])
-
-
-def neighbor_edges(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (center, neighbor) edges from per-node lists, with
-    self-loops for empty lists."""
-    lens = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
-    src = np.repeat(np.arange(len(neighbors), dtype=np.int64), np.maximum(lens, 1))
-    dst = src.copy()
-    dst[lens[src] > 0] = np.concatenate(neighbors)
-    return src, dst
-
-
-def edge_layouts(edges: tuple[np.ndarray, np.ndarray],
-                 n: int) -> tuple[SegmentLayout, SegmentLayout]:
-    """Layouts of directed (src, dst) edges over n nodes: src groups each
+def edge_layouts(edges: np.ndarray, n: int) -> tuple[SegmentLayout, SegmentLayout]:
+    """Layouts of (E, 2) directed (src, dst) edge rows over n nodes, with a
+    self-loop appended for every node that sends no edge: src groups each
     node's incoming messages, dst gathers their senders."""
-    src, dst = edges
-    return SegmentLayout(src, n), SegmentLayout(dst, n)
+    lonely = np.flatnonzero(np.bincount(edges[:, 0], minlength=n) == 0)
+    return (SegmentLayout(np.concatenate([edges[:, 0], lonely]), n),
+            SegmentLayout(np.concatenate([edges[:, 1], lonely]), n))
 
 
 @dataclass
@@ -78,17 +54,21 @@ class HeterGraph:
 
     @cached_property
     def ring_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
-        """Directed one-ring edges with nothing dropped."""
-        return edge_layouts(directed_edges(self.mesh_edges, self.num_vertices),
-                            self.num_vertices)
+        """Both directions of the one-ring edges, with nothing dropped."""
+        pairs = self.mesh_edges
+        return edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), self.num_vertices)
 
     @cached_property
     def geo_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
-        return edge_layouts(neighbor_edges(self.geo_neighbors), self.num_vertices)
+        """One (vertex, neighbour) edge per geodesic list entry."""
+        centers = np.repeat(np.arange(self.num_vertices), list(map(len, self.geo_neighbors)))
+        return edge_layouts(np.stack([centers, np.concatenate(self.geo_neighbors)], axis=1),
+                            self.num_vertices)
 
     @cached_property
     def skel_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
-        return edge_layouts(directed_edges(self.skel_edges, self.num_bones), self.num_bones)
+        pairs = self.skel_edges
+        return edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), self.num_bones)
 
     @cached_property
     def topk_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
@@ -154,16 +134,9 @@ def geodesic_neighbors(mesh: Mesh, threshold: float, cap: int) -> list[np.ndarra
     """Vertices within a shortest-path distance threshold along mesh edges,
     excluding self; at most `cap` nearest are kept."""
     n = mesh.num_vertices
-    edges = mesh.edges()
-    if len(edges) == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n)]
-    lengths = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
-    adj = sp.csr_matrix(
-        (np.concatenate([lengths, lengths]),
-         (np.concatenate([edges[:, 0], edges[:, 1]]),
-          np.concatenate([edges[:, 1], edges[:, 0]]))),
-        shape=(n, n),
-    )
+    adj = ring_adjacency(mesh)
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    adj.data = np.linalg.norm(mesh.vertices[rows] - mesh.vertices[adj.indices], axis=1)
     out: list[np.ndarray] = []
     chunk = 512
     for lo in range(0, n, chunk):
@@ -196,9 +169,6 @@ def ring_adjacency(mesh: Mesh) -> sp.csr_matrix:
 
 def mesh_laplacian(mesh: Mesh) -> sp.csr_matrix:
     """Combinatorial Laplacian L = Deg - Adj over one-ring edges."""
-    n = mesh.num_vertices
-    if len(mesh.triangles) == 0:
-        return sp.csr_matrix((n, n))
     adj = ring_adjacency(mesh)
     deg = sp.diags(np.asarray(adj.sum(axis=1)).reshape(-1))
     return (deg - adj).tocsr()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SegmentLayout, Tensor
-from .hgraph import HeterGraph, build_graph, directed_edges, edge_layouts
+from .hgraph import HeterGraph, build_graph, edge_layouts
 from .hollowdist import compute_all, euclidean_all
 from .rigcore import Rig, RigError, WeightRows, merge_rig
 from .voxelize import build_grid, voxelize_mesh
@@ -28,6 +28,14 @@ EDGE_DROPOUT = 0.85  # share of one-ring edges dropped in each training pass
 FINAL_DROPOUT = 0.5  # dropout after each hidden layer of the final MLP, in training
 LEAKY_ALPHA = 0.2  # negative slope of every leaky ReLU
 VAR_SCALE = 0.1  # damping of the variance bones pool from their vertices
+
+
+def check_nonnegative(**values: float) -> None:
+    """Raise `ValueError` naming the first value that is negative or not
+    finite (NaN included)."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,10 +58,11 @@ class HyperParams:
             raise ValueError("feature dimensions and K must be >= 1")
         if self.local_stages < 0:
             raise ValueError(f"local_stages must be >= 0, got {self.local_stages}")
-        if self.lambda_smooth < 0:
-            raise ValueError("smoothing factor must be >= 0")
+        check_nonnegative(lambda_smooth=self.lambda_smooth, geo_threshold=self.geo_threshold)
         if self.distance_mode not in ("hollow", "euclidean"):
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
+        if self.resolution < 4:
+            raise ValueError(f"resolution must be >= 4, got {self.resolution}")
 
 
 def _param_shapes(h: HyperParams) -> dict[str, tuple[int, int]]:
@@ -112,7 +121,7 @@ def mesh_conv(f_v: Tensor, ring_edges: tuple, geo_edges: tuple,
               w_ring: Tensor, w_geo: Tensor, w_merge: Tensor) -> Tensor:
     a = edge_conv(f_v, ring_edges[0], ring_edges[1], w_ring)
     b = edge_conv(f_v, geo_edges[0], geo_edges[1], w_geo)
-    return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), LEAKY_ALPHA)
+    return ad.leaky_relu(ad.gather_matmul([(a, None), (b, None)], w_merge), LEAKY_ALPHA)
 
 
 def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentLayout],
@@ -123,8 +132,8 @@ def vertex_to_bone(f_v: Tensor, f_b: Tensor, topk: tuple[SegmentLayout, SegmentL
     mx = ad.segment_max(slot_feats, bone_of_slot)
     mean = ad.segment_mean(slot_feats, bone_of_slot)
     var = ad.scale(ad.segment_var(slot_feats, bone_of_slot), VAR_SCALE)
-    h = ad.concat_cols([f_b, mx, mean, var])
-    return ad.leaky_relu(ad.matmul(h, w), LEAKY_ALPHA)
+    h = ad.gather_matmul([(f_b, None), (mx, None), (mean, None), (var, None)], w)
+    return ad.leaky_relu(h, LEAKY_ALPHA)
 
 
 def bone_to_vertex(f_v: Tensor, f_b: Tensor, columns: tuple[SegmentLayout, ...],
@@ -167,9 +176,9 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
 
     # graph-only layouts are cached on the graph; dropped ring edges change
     # every training pass and are shared by its mesh convolutions
-    if rng is not None and len(graph.mesh_edges):
-        keep = rng.random(len(graph.mesh_edges)) >= EDGE_DROPOUT
-        ring = edge_layouts(directed_edges(graph.mesh_edges[keep], n), n)
+    if rng is not None:
+        pairs = graph.mesh_edges[rng.random(len(graph.mesh_edges)) >= EDGE_DROPOUT]
+        ring = edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), n)
     else:
         ring = graph.ring_layouts
     geo, skel, topk = graph.geo_layouts, graph.skel_layouts, graph.topk_layouts
@@ -285,6 +294,7 @@ def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0
         raise ValueError("training requires at least one rig")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
+    check_nonnegative(lr=lr, wd=wd)
     params = init_params(h, seed)
     state = ad.AdamState()
     rng = np.random.default_rng(seed + 1)

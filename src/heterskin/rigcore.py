@@ -23,14 +23,28 @@ class RigError(ValueError):
     model checkpoints."""
 
 
+def _triples(value, dtype, what: str) -> np.ndarray:
+    """``value`` as a C-contiguous (n, 3) array; an empty list is (0, 3).
+    Raises `RigError` naming ``what`` for any other shape."""
+    try:
+        a = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as e:
+        raise RigError(f"{what} must be an (n, 3) array of numbers: {e}") from e
+    if a.shape == (0,):
+        a = a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise RigError(f"{what} must be an (n, 3) array, got shape {a.shape}")
+    return np.ascontiguousarray(a)
+
+
 @dataclass(frozen=True)
 class Mesh:
     vertices: np.ndarray  # (N, 3) float64
     triangles: np.ndarray  # (M, 3) int64
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3))
+        v = _triples(self.vertices, np.float64, "vertices")
+        t = _triples(self.triangles, np.int64, "triangles")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         if not np.all(np.isfinite(v)):
@@ -74,7 +88,7 @@ class Skeleton:
 
     @classmethod
     def build(cls, names, positions, parents) -> "Skeleton":
-        positions = np.ascontiguousarray(np.asarray(positions, dtype=np.float64).reshape(-1, 3))
+        positions = _triples(positions, np.float64, "joint positions")
         parents = np.asarray(parents, dtype=np.int64).reshape(-1)
         names = tuple(str(n) for n in names)
         if not (len(names) == len(positions) == len(parents)):
@@ -297,8 +311,7 @@ def load_rig(path) -> Rig:
     for key in ("vertices", "triangles", "joints"):
         if key not in doc:
             raise RigError(f"{path}: missing field {key!r}")
-    mesh = Mesh(np.asarray(doc["vertices"], dtype=np.float64).reshape(-1, 3),
-                np.asarray(doc["triangles"], dtype=np.int64).reshape(-1, 3))
+    mesh = Mesh(doc["vertices"], doc["triangles"])
     joints = doc["joints"]
     for i, j in enumerate(joints):
         if not isinstance(j, dict):
@@ -334,8 +347,7 @@ def load_obj_mesh(path) -> Mesh:
                 if len(idx) != 3:
                     raise RigError(f"{path}:{ln}: only triangulated faces are supported")
                 tris.append([i - 1 if i > 0 else len(verts) + i for i in idx])
-    return Mesh(np.asarray(verts, dtype=np.float64).reshape(-1, 3),
-                np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+    return Mesh(verts, tris)
 
 
 def save_obj_mesh(mesh: Mesh, path) -> None:

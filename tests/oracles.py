@@ -2,9 +2,11 @@
 
 These are written for clarity, not speed: a sequential queue-based
 distance-field search, an all-pairs vertex dedup scan, a central
-finite-difference gradient helper, the edge convolution with one row per
-edge (as products and as a concat), the bone-to-vertex and final-head
-products over concatenated rows, and the whole-array Adam step.  Test
+finite-difference gradient helper, the two directed-edge builders that
+placed each self-loop differently, the edge convolution with one row per
+edge (as products and as a concat), the merge, vertex-to-bone,
+bone-to-vertex and final-head products over concatenated rows, and the
+whole-array Adam step.  Test
 code compares the package against these, never the other way around.
 """
 from __future__ import annotations
@@ -137,6 +139,31 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def directed_edges(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both directions of undirected pairs plus self-loops for nodes that
+    would otherwise have no neighbors."""
+    if len(pairs):
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    else:
+        src = np.zeros(0, dtype=np.int64)
+        dst = np.zeros(0, dtype=np.int64)
+    present = np.zeros(n, dtype=bool)
+    present[src] = True
+    lonely = np.flatnonzero(~present)
+    return np.concatenate([src, lonely]), np.concatenate([dst, lonely])
+
+
+def neighbor_edges(neighbors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Directed (center, neighbor) edges from per-node lists, with a
+    self-loop in place of each empty list."""
+    lens = np.fromiter(map(len, neighbors), dtype=np.int64, count=len(neighbors))
+    src = np.repeat(np.arange(len(neighbors), dtype=np.int64), np.maximum(lens, 1))
+    dst = src.copy()
+    dst[lens[src] > 0] = np.concatenate(neighbors)
+    return src, dst
+
+
 def edge_linear(f, src, dst, w):
     """Rows ``[f_i || f_i - f_j] @ w``, one per directed edge (i, j) of an
     edge layout pair, as ``p[i] + (q[i] - q[j])`` for ``p = f @ w_top`` and
@@ -175,6 +202,24 @@ def concat_edge_conv(f, src, dst, w, alpha: float):
     fj = ad.gather_rows(f, dst)
     h = ad.concat_cols([fi, ad.sub(fi, fj)])
     return ad.segment_max(ad.leaky_relu(ad.matmul(h, w), alpha), src)
+
+
+def concat_mesh_conv(f_v, ring, geo, w_ring, w_geo, w_merge, alpha: float):
+    """Mesh convolution with its merge as one product over the concatenated
+    rows ``[ring || geo]``; each edge convolution is `edge_rows_conv`."""
+    a = edge_rows_conv(f_v, *ring, w_ring, alpha)
+    b = edge_rows_conv(f_v, *geo, w_geo, alpha)
+    return ad.leaky_relu(ad.matmul(ad.concat_cols([a, b]), w_merge), alpha)
+
+
+def concat_vertex_to_bone(f_v, f_b, topk, w, var_scale: float, alpha: float):
+    """Vertex-to-bone convolution as one product over the concatenated rows
+    ``[f_b || max || mean || var_scale * var]`` of each bone's vertices."""
+    vertex_of_slot, bone_of_slot = topk
+    slot_feats = ad.gather_rows(f_v, vertex_of_slot)
+    stats = [ad.segment_max(slot_feats, bone_of_slot), ad.segment_mean(slot_feats, bone_of_slot),
+             ad.scale(ad.segment_var(slot_feats, bone_of_slot), var_scale)]
+    return ad.leaky_relu(ad.matmul(ad.concat_cols([f_b, *stats]), w), alpha)
 
 
 def reshape(a, shape):

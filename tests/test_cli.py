@@ -197,6 +197,50 @@ class TestErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--lr", "nan", "lr must be a finite number >= 0, got nan"),
+        ("--lr", "-0.001", "lr must be a finite number >= 0, got -0.001"),
+        ("--wd", "inf", "wd must be a finite number >= 0, got inf"),
+        ("--wd", "-1", "wd must be a finite number >= 0, got -1.0"),
+        ("--geo-threshold", "nan", "geo_threshold must be a finite number >= 0, got nan"),
+        ("--geo-threshold", "-0.1", "geo_threshold must be a finite number >= 0, got -0.1"),
+        ("--lambda-s", "nan", "lambda_smooth must be a finite number >= 0, got nan"),
+        ("--resolution", "3", "resolution must be >= 4, got 3"),
+    ])
+    def test_bad_training_value_rejected_before_rigs(self, tmp_path, capsys, monkeypatch,
+                                                     option, value, message):
+        def no_rigs(*args):
+            raise AssertionError("train read its rigs before checking its options")
+
+        monkeypatch.setattr(synthgen, "load_manifest", no_rigs)
+        args = ["train", "--data", str(tmp_path), "--epochs", "1",
+                "--out", str(tmp_path / "m.ckpt"), *FAST_TRAIN]
+        if option in args:
+            args[args.index(option) + 1] = value
+        else:
+            args += [option, value]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("vertices", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [0, 2]],
+         "vertices must be an (n, 3) array, got shape (6, 2)"),
+        ("triangles", [[0, 1, 2, 3]] * 3, "triangles must be an (n, 3) array, got shape (3, 4)"),
+    ])
+    def test_mesh_of_wrong_shape_exits_1(self, tmp_path, capsys, field, value, message):
+        doc = {
+            "name": "bad",
+            "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+            "triangles": [[0, 1, 2]],
+            "joints": [{"name": "r", "position": [0, 0, 0], "parent": -1}],
+        }
+        doc[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("joint, message", [
         ({"name": "j2", "position": [0, 0, 0]}, "joint 2 is missing field 'parent'"),
         (7, "joint 2 is not an object"),

@@ -12,8 +12,9 @@ from heterskin import cli, hgraph, model, synthgen
 from heterskin.autodiff import Tensor
 from heterskin.rigcore import RigError, WeightRows, save_rig
 
-from oracles import (concat_bone_to_vertex, concat_edge_conv, concat_final_head, edge_rows_conv,
-                     finite_difference, max_relative_error)
+from oracles import (concat_bone_to_vertex, concat_edge_conv, concat_final_head,
+                     concat_mesh_conv, concat_vertex_to_bone, directed_edges, edge_rows_conv,
+                     finite_difference, max_relative_error, neighbor_edges)
 
 
 def micro_hyper():
@@ -61,16 +62,39 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             model.HyperParams(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("geo_threshold", float("nan"), "geo_threshold must be a finite number >= 0, got nan"),
+        ("geo_threshold", -0.01, "geo_threshold must be a finite number >= 0, got -0.01"),
+        ("geo_threshold", float("inf"), "geo_threshold must be a finite number >= 0, got inf"),
+        ("lambda_smooth", float("nan"), "lambda_smooth must be a finite number >= 0, got nan"),
+        ("lambda_smooth", float("inf"), "lambda_smooth must be a finite number >= 0, got inf"),
+        ("lambda_smooth", -0.1, "lambda_smooth must be a finite number >= 0, got -0.1"),
+        ("resolution", 3, "resolution must be >= 4, got 3"),
+    ])
+    def test_values_that_fail_late_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            model.HyperParams(**{field: value})
+        assert str(info.value) == message
+
+    def test_boundary_values_valid(self):
+        h = model.HyperParams(geo_threshold=0.0, lambda_smooth=0.0, resolution=4)
+        assert (h.geo_threshold, h.lambda_smooth, h.resolution) == (0.0, 0.0, 4)
+
     def test_no_hidden_final_layer_valid(self):
         h = dataclasses.replace(micro_hyper(), final_dims=(), local_stages=0)
         pred = model.forward(micro_sample().graph, model.init_params(h), h)
         assert np.allclose(pred.value.sum(axis=1), 1.0)
 
 
+def both_ways(pairs):
+    """(2E, 2) directed rows of (E, 2) undirected pairs: the pairs, then
+    each reversed, the order the graph builds its ring and skeleton in."""
+    return np.concatenate([pairs, pairs[:, ::-1]])
+
+
 def skeleton_conv(f, pairs, w):
     """Edge convolution over both directions of undirected bone pairs."""
-    n = f.value.shape[0]
-    return model.edge_conv(f, *hgraph.edge_layouts(hgraph.directed_edges(pairs, n), n), w)
+    return model.edge_conv(f, *hgraph.edge_layouts(both_ways(pairs), f.value.shape[0]), w)
 
 
 def topk_pair(topk, num_bones):
@@ -137,7 +161,7 @@ class TestEdgeLinear:
 
     def test_rejects_mismatched_inputs(self):
         n = 4
-        src, dst = hgraph.edge_layouts(hgraph.directed_edges(np.array([[0, 1], [2, 3]]), n), n)
+        src, dst = hgraph.edge_layouts(both_ways(np.array([[0, 1], [2, 3]])), n)
         f = Tensor(np.ones((n, 3)))
         with pytest.raises(ad.AutodiffError, match="weight"):
             ad.edge_max(f, src, dst, Tensor(np.ones((5, 2))))
@@ -169,7 +193,7 @@ class TestEdgeMax:
         n = graph.num_vertices
         rng = np.random.default_rng(41)
         keep = rng.random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
-        dropped = hgraph.edge_layouts(hgraph.directed_edges(graph.mesh_edges[keep], n), n)
+        dropped = hgraph.edge_layouts(both_ways(graph.mesh_edges[keep]), n)
         for layouts, width in ((graph.ring_layouts, h.vertex_local), (dropped, h.vertex_local),
                                (graph.geo_layouts, h.vertex_local),
                                (graph.skel_layouts, h.bone_local)):
@@ -246,7 +270,8 @@ class TestEdgeMax:
         # E = 32 N: one (E, F) float array alone would be 32 N F 8 bytes
         n, width, fan = 2000, 64, 32
         rng = np.random.default_rng(59)
-        layouts = hgraph.edge_layouts((np.repeat(np.arange(n), fan), rng.integers(0, n, n * fan)), n)
+        edges = np.stack([np.repeat(np.arange(n), fan), rng.integers(0, n, n * fan)], axis=1)
+        layouts = hgraph.edge_layouts(edges, n)
         f = Tensor(rng.standard_normal((n, width)))
         w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng))
         tracemalloc.start()
@@ -270,25 +295,97 @@ def _loop_neighbor_edges(neighbors):
     return np.concatenate(src), np.concatenate(dst)
 
 
+def _senders(src, dst):
+    """Each node's senders, in the order its incoming edges list them."""
+    return [dst.idx[src.slots[i, :src.counts[i]]].tolist() for i in range(src.num)]
+
+
+def _geo_rows(neighbors):
+    """(E, 2) (vertex, neighbour) rows of per-vertex lists."""
+    centers = np.repeat(np.arange(len(neighbors)), [len(nb) for nb in neighbors])
+    return np.stack([centers, np.concatenate(neighbors)], axis=1)
+
+
 class TestNeighborEdges:
+    """`hgraph.edge_layouts` gives every node the senders of the loop over
+    per-node lists, a self-loop for an empty list included, and appends
+    the self-loops after the given edges.  The vectorized form of the
+    loop that sat in the graph module is kept in `tests/oracles.py`."""
+
+    @staticmethod
+    def _check(neighbors):
+        n = len(neighbors)
+        rows = _geo_rows(neighbors)
+        src, dst = hgraph.edge_layouts(rows, n)
+        lonely = [i for i, nb in enumerate(neighbors) if len(nb) == 0]
+        assert src.idx.tolist() == rows[:, 0].tolist() + lonely
+        assert dst.idx.tolist() == rows[:, 1].tolist() + lonely
+        want = _loop_neighbor_edges(neighbors)
+        assert _senders(src, dst) == _senders(*(ad.SegmentLayout(a, n) for a in want))
+        for g, w in zip(neighbor_edges(neighbors), want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
     @pytest.mark.parametrize("lists", [
         [[1, 2], [], [0], [], [4, 0, 1], []],
         [[], [], []],
         [[3], [2, 0], [1], [0, 1, 2]],
     ])
     def test_matches_loop_with_self_loops(self, lists):
-        neighbors = [np.asarray(nb, dtype=np.int64) for nb in lists]
-        got = hgraph.neighbor_edges(neighbors)
-        want = _loop_neighbor_edges(neighbors)
-        for g, w in zip(got, want):
-            assert g.dtype == np.int64
-            assert np.array_equal(g, w)
+        self._check([np.asarray(nb, dtype=np.int64) for nb in lists])
 
     def test_matches_loop_on_rig_graph(self):
-        neighbors = micro_sample().graph.geo_neighbors
-        got = hgraph.neighbor_edges(neighbors)
-        want = _loop_neighbor_edges(neighbors)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        graph = micro_sample().graph
+        assert any(len(nb) == 0 for nb in graph.geo_neighbors)
+        self._check(graph.geo_neighbors)
+        want = _loop_neighbor_edges(graph.geo_neighbors)
+        assert _senders(*graph.geo_layouts) == _senders(
+            *(ad.SegmentLayout(a, graph.num_vertices) for a in want))
+
+    @pytest.mark.parametrize("pairs, n", [
+        ([[0, 1], [2, 3]], 5), ([], 3), ([[0, 2], [1, 2], [0, 1]], 3),
+    ])
+    def test_pairs_give_the_old_arrays(self, pairs, n):
+        # both directions of undirected pairs: the arrays of the old builder
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        src, dst = hgraph.edge_layouts(both_ways(pairs), n)
+        want_src, want_dst = directed_edges(pairs, n)
+        assert np.array_equal(src.idx, want_src) and np.array_equal(dst.idx, want_dst)
+
+
+class TestEdgeLayoutBytes:
+    # `edge_max` on the layouts of `hgraph.edge_layouts` against the same
+    # edges laid out by the old builders of `tests/oracles.py`: equal
+    # output, f gradient and w gradient bytes.  Only the geodesic layouts
+    # differ in edge order (self-loops of empty lists come last); a
+    # vertex with an empty list is no other vertex's neighbour, because
+    # geodesic distance is symmetric.
+    @pytest.mark.parametrize("dims", ["micro", "tiny"])
+    def test_edge_max_bytes_match_old_layouts(self, dims, small_sample, tiny_hyper):
+        h = {"micro": micro_hyper(), "tiny": tiny_hyper}[dims]
+        graph = micro_sample().graph if dims == "micro" else small_sample.graph
+        n, b = graph.num_vertices, graph.num_bones
+        assert any(len(nb) == 0 for nb in graph.geo_neighbors)
+        rng = np.random.default_rng(61)
+        cases = [(graph.ring_layouts, directed_edges(graph.mesh_edges, n), h.vertex_local),
+                 (graph.geo_layouts, neighbor_edges(graph.geo_neighbors), h.vertex_local),
+                 (graph.skel_layouts, directed_edges(graph.skel_edges, b), h.bone_local)]
+        for _ in range(3):
+            pairs = graph.mesh_edges[rng.random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT]
+            cases.append((hgraph.edge_layouts(both_ways(pairs), n), directed_edges(pairs, n),
+                          h.vertex_local))
+        for layouts, (src, dst), width in cases:
+            count = layouts[0].num
+            old = (ad.SegmentLayout(src, count), ad.SegmentLayout(dst, count))
+            f = Tensor(rng.standard_normal((count, width)), name="f")
+            w = Tensor(ad.kaiming_normal((2 * width, width), 2 * width, rng), name="w")
+            g = Tensor(rng.standard_normal((count, width)))
+            got, want = ad.edge_max(f, *layouts, w), ad.edge_max(f, *old, w)
+            assert got.value.tobytes() == want.value.tobytes()
+            got_g = ad.backward(ad.tsum(ad.mul(got, g)), {"f": f, "w": w})
+            want_g = ad.backward(ad.tsum(ad.mul(want, g)), {"f": f, "w": w})
+            for name in ("f", "w"):
+                assert got_g[name].tobytes() == want_g[name].tobytes(), name
 
 
 class TestVertexToBone:
@@ -459,6 +556,71 @@ class TestGatherMatmul:
                     and a.shape[1] in wide]
 
 
+def _tape_ops(out):
+    """How many nodes of each op the tape that ends at ``out`` holds, read
+    from the qualified name of each node's backward closure."""
+    ops, stack, seen = {}, [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.backward_fn is not None:
+            op = node.backward_fn.__qualname__.split(".<locals>")[0]
+            ops[op] = ops.get(op, 0) + 1
+        stack.extend(node.parents)
+    return ops
+
+
+class TestSideBySideProducts:
+    # `mesh_conv`'s merge and `vertex_to_bone`'s product go through
+    # `gather_matmul`, one product per part, against the concat-then-matmul
+    # forms of `tests/oracles.py`.  The largest difference, relative to the
+    # largest entry, over the output and every input gradient of both
+    # layers is 2.8e-16 (micro), 5.3e-16 (TINY) and 1.3e-15 (default dims)
+    # here, at most 1.7e-15 over seeds 31-40.
+    @pytest.mark.parametrize("dims", ["micro", "tiny", "default"])
+    def test_matches_concat_forms(self, dims, small_sample, tiny_hyper):
+        h = {"micro": micro_hyper(), "tiny": tiny_hyper, "default": model.HyperParams()}[dims]
+        graph = micro_sample().graph if dims == "micro" else small_sample.graph
+        rng = np.random.default_rng(71)
+        n, b = graph.num_vertices, graph.num_bones
+        shapes = model._param_shapes(h)
+        w = {name: Tensor(ad.kaiming_normal(shapes[name], shapes[name][0], rng), name=name)
+             for name in ("mesh0.ring", "mesh0.geo", "mesh0.merge", "inter0.v2b")}
+        f_v = Tensor(rng.standard_normal((n, h.vertex_local)), name="f_v")
+        f_b = Tensor(rng.standard_normal((b, 6)), name="f_b")
+        mesh_w = [w["mesh0.ring"], w["mesh0.geo"], w["mesh0.merge"]]
+        cases = [
+            (model.mesh_conv(f_v, graph.ring_layouts, graph.geo_layouts, *mesh_w),
+             concat_mesh_conv(f_v, graph.ring_layouts, graph.geo_layouts, *mesh_w,
+                              model.LEAKY_ALPHA),
+             {"f_v": f_v, **{t.name: t for t in mesh_w}}),
+            (model.vertex_to_bone(f_v, f_b, graph.topk_layouts, w["inter0.v2b"]),
+             concat_vertex_to_bone(f_v, f_b, graph.topk_layouts, w["inter0.v2b"],
+                                   model.VAR_SCALE, model.LEAKY_ALPHA),
+             {"f_v": f_v, "f_b": f_b, "w": w["inter0.v2b"]}),
+        ]
+        for got, want, inputs in cases:
+            g = Tensor(rng.standard_normal(got.shape))
+            got_g = ad.backward(ad.tsum(ad.mul(got, g)), inputs)
+            want_g = ad.backward(ad.tsum(ad.mul(want, g)), inputs)
+            pairs = [(got.value, want.value)] + [(got_g[name], want_g[name]) for name in inputs]
+            for a, b in pairs:
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_training_tape_holds_no_concat(self, small_sample):
+        # side-by-side inputs go through `gather_matmul`, never a concat
+        h = model.HyperParams()
+        ops = _tape_ops(model.forward(small_sample.graph, model.init_params(h), h,
+                                      np.random.default_rng(0)))
+        assert "concat_cols" not in ops
+        # b2v, v2b and the merge of the first layers and of each local
+        # stage, and final.0
+        assert ops["gather_matmul"] == 3 * (h.local_stages + 1) + 1
+
+
 class TestGlobalBranch:
     def test_single_node(self):
         rng = np.random.default_rng(13)
@@ -554,11 +716,12 @@ class TestGraphLayouts:
 
     @staticmethod
     def _spy_edge_layouts(monkeypatch) -> list:
+        """Record each (edges, layouts) that `forward` builds."""
         built = []
 
         def spy(edges, count):
-            built.append(hgraph.edge_layouts(edges, count))
-            return built[-1]
+            built.append((edges, hgraph.edge_layouts(edges, count)))
+            return built[-1][1]
 
         monkeypatch.setattr(model, "edge_layouts", spy)
         return built
@@ -572,12 +735,13 @@ class TestGraphLayouts:
         for seed in (1, 2):
             model.forward(graph, params, h, np.random.default_rng(seed))
         assert len(built) == 2
-        for seed, (src, dst) in zip((1, 2), built):
+        for seed, (edges, (src, dst)) in zip((1, 2), built):
             keep = np.random.default_rng(seed).random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
-            want_src, want_dst = hgraph.directed_edges(graph.mesh_edges[keep], n)
+            assert np.array_equal(edges, both_ways(graph.mesh_edges[keep]))
+            want_src, want_dst = directed_edges(graph.mesh_edges[keep], n)
             assert np.array_equal(src.idx, want_src)
             assert np.array_equal(dst.idx, want_dst)
-        assert not np.array_equal(built[0][0].idx, built[1][0].idx)
+        assert not np.array_equal(built[0][1][0].idx, built[1][1][0].idx)
         assert "ring_layouts" not in graph.__dict__
 
     def test_inference_keeps_every_ring_edge(self, monkeypatch):
@@ -589,9 +753,24 @@ class TestGraphLayouts:
             model.forward(graph, params, h)
         assert built == []
         src, dst = graph.__dict__["ring_layouts"]
-        want_src, want_dst = hgraph.directed_edges(graph.mesh_edges, graph.num_vertices)
+        want_src, want_dst = directed_edges(graph.mesh_edges, graph.num_vertices)
         assert np.array_equal(src.idx, want_src)
         assert np.array_equal(dst.idx, want_dst)
+
+    def test_training_pass_without_ring_edges(self, monkeypatch):
+        # a training pass over a mesh without edges: its ring is one self-loop
+        # per vertex
+        h = micro_hyper()
+        params = model.init_params(h, seed=3)
+        graph = dataclasses.replace(micro_sample().graph,
+                                    mesh_edges=np.zeros((0, 2), dtype=np.int64))
+        built = self._spy_edge_layouts(monkeypatch)
+        pred = model.forward(graph, params, h, np.random.default_rng(1))
+        assert np.allclose(pred.value.sum(axis=1), 1.0)
+        [(edges, (src, dst))] = built
+        assert edges.shape == (0, 2)
+        everyone = np.arange(graph.num_vertices)
+        assert np.array_equal(src.idx, everyone) and np.array_equal(dst.idx, everyone)
 
     @settings(derandomize=True, deadline=None, max_examples=20)
     @given(rig_seed=st.integers(0, 100_000), param_seed=st.integers(0, 1_000))
@@ -682,6 +861,12 @@ class TestTraining:
     def test_negative_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             model.train([micro_sample()], micro_hyper(), epochs=-1)
+
+    @pytest.mark.parametrize("rate", ["lr", "wd"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-4])
+    def test_bad_rate_rejected(self, rate, value):
+        with pytest.raises(ValueError, match=f"{rate} must be a finite number >= 0"):
+            model.train([micro_sample()], micro_hyper(), epochs=1, **{rate: value})
 
     def test_same_seed_same_history(self):
         s = micro_sample()
@@ -810,6 +995,11 @@ class TestCheckpoint:
         (b'"distance_mode": "hollow"', b'"distance_mode": "manhattan"', "header"),
         # a field HyperParams no longer has, as in checkpoints of earlier versions
         (b'"lambda_smooth": 0.4', b'"lambda_smooth": 0.4, "smoothing": true', "header"),
+        # values that used to fail late or train silently
+        (b'"geo_threshold": 0.06', b'"geo_threshold": NaN', "geo_threshold must be"),
+        (b'"geo_threshold": 0.06', b'"geo_threshold": -0.5', "geo_threshold must be"),
+        (b'"lambda_smooth": 0.4', b'"lambda_smooth": NaN', "lambda_smooth must be"),
+        (b'"resolution": 32', b'"resolution": 3', "resolution must be >= 4"),
     ])
     def test_header_disagreeing_with_hyper_rejected(self, tmp_path, tiny_hyper,
                                                     old, new, match):

@@ -84,6 +84,17 @@ class TestMesh:
         with pytest.raises(RigError):
             Mesh(verts, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("vertices, triangles, message", [
+        (np.zeros((3, 2)), [], "vertices must be an (n, 3) array, got shape (3, 2)"),
+        (np.zeros((4, 3)), np.zeros((3, 4), dtype=int),
+         "triangles must be an (n, 3) array, got shape (3, 4)"),
+        (np.zeros((2, 3, 3)), [], "vertices must be an (n, 3) array, got shape (2, 3, 3)"),
+    ])
+    def test_wrong_shape_rejected(self, vertices, triangles, message):
+        with pytest.raises(RigError) as info:
+            Mesh(vertices, triangles)
+        assert str(info.value) == message
+
     def test_edges_sorted_unique(self):
         mesh = _square_mesh()
         edges = mesh.edges()
@@ -121,6 +132,10 @@ class TestSkeleton:
     def test_cycle_rejected(self):
         with pytest.raises(RigError):
             Skeleton.build(["a", "b"], np.zeros((2, 3)), [1, 0])
+
+    def test_positions_of_wrong_shape_rejected(self):
+        with pytest.raises(RigError, match=r"joint positions must be an \(n, 3\) array"):
+            Skeleton.build(["a", "b"], np.zeros((3, 2)), [-1, 0])
 
     def test_two_roots_rejected(self):
         with pytest.raises(RigError):
@@ -275,6 +290,41 @@ class TestRigIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(RigError):
             rigcore.load_rig(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # 12 coordinates, which reshaping to rows of 3 read as 4 vertices
+        ("vertices", [[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [0, 2]],
+         "vertices must be an (n, 3) array, got shape (6, 2)"),
+        # 12 indices, which reshaping to rows of 3 read as 4 valid triangles
+        ("triangles", [[0, 1, 2, 3]] * 3, "triangles must be an (n, 3) array, got shape (3, 4)"),
+        ("triangles", [[0, 1, 2], [0, 1]], "triangles must be an (n, 3) array of numbers"),
+        ("vertices", [0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 0],
+         "vertices must be an (n, 3) array, got shape (12,)"),
+        ("joints", [{"name": f"j{i}", "position": [0, i], "parent": i - 1} for i in range(3)],
+         "joint positions must be an (n, 3) array, got shape (3, 2)"),
+    ])
+    def test_field_of_wrong_shape_in_file(self, tmp_path, field, value, message):
+        doc = {
+            "name": "bad",
+            "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+            "triangles": [[0, 1, 2]],
+            "joints": [{"name": "r", "position": [0, 0, 0], "parent": -1}],
+        }
+        doc[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RigError) as info:
+            rigcore.load_rig(path)
+        assert str(info.value).startswith(message)
+
+    def test_empty_lists_are_no_rows(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "vertices": [], "triangles": [],
+            "joints": [{"name": "r", "position": [0, 0, 0], "parent": -1}],
+        }))
+        mesh = rigcore.load_rig(path).mesh
+        assert mesh.vertices.shape == (0, 3) and mesh.triangles.shape == (0, 3)
 
     def test_bad_weight_row_sum_in_file(self, tmp_path):
         doc = {

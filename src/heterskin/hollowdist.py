@@ -4,8 +4,9 @@ The search starts from bone cells, never expands from a mesh cell into a
 hollow cell, and restarts from the nearest traversed mesh cell bordering
 untraversed hollow space until every mesh cell is reached.  Each search
 phase, the first and every restart, is one call of scipy's compiled
-`breadth_first_order` on a `GridGraph`, the grid's allowed moves as a
-CSR graph built once per rig and shared by all its bones.  A vertex's
+`breadth_first_order` on a `GridGraph`, the allowed moves of the box
+around the mesh and the bones as a CSR graph built once per rig and
+shared by all its bones.  A vertex's
 distance follows its cell's predecessor (distance of the previous cell
 plus the straight-line distance from that cell's center to the vertex).
 """
@@ -25,7 +26,7 @@ from .voxelize import VoxelGrid, rasterize_bone
 @dataclass
 class DistanceField:
     bone: int
-    steps: np.ndarray  # (R, R, R) int32, -1 = untraversed
+    steps: np.ndarray  # (R, R, R) int32, -1 = untraversed or outside the search box
     pred: np.ndarray  # (R, R, R) int32 flat cell index, -1 = none
     cell_size: float
 
@@ -40,34 +41,60 @@ class DistanceField:
 class GridGraph:
     """The allowed moves of one grid's search, as a CSR graph.
 
-    Nodes are the cells of the grid padded by one cell per side, in
-    padded flat order, then a super-source.  Every cell's row has six
+    The graph covers a box of the grid, `(lo, hi)` with `hi` exclusive
+    (the whole grid when `box` is None).  Nodes are the box's cells padded
+    by one cell per side, in padded flat order, then a super-source; this
+    order is monotone in the grid's flat order.  Every cell's row has six
     entries: an inner cell's neighbours in the fixed order +x, -x, +y,
     -y, +z, -z, with each mesh -> hollow move replaced by a self-loop.
     A padding cell's row is all self-loops, so it can be reached but
     never expands.  A cell is claimed before it expands, so a self-loop
     claims nothing.  `search` rewrites the super-source's row, so one
     graph serves every bone and every restart of a rig.
+
+    Every mesh cell must lie in the box, and off its outer layer except on
+    faces that lie on the grid border (`ValueError` otherwise): a hollow
+    outer layer is what makes the box's fields equal the whole grid's.
     """
 
-    def __init__(self, grid: VoxelGrid):
+    def __init__(self, grid: VoxelGrid, box: tuple | None = None):
         r = grid.resolution
-        p = r + 2
-        n = p * p * p
+        if box is None:
+            box = ((0, 0, 0), (r, r, r))
+        lo, hi = (np.asarray(b, dtype=np.int64).reshape(3) for b in box)
+        if not ((0 <= lo) & (lo < hi) & (hi <= r)).all():
+            raise ValueError(f"search box {lo.tolist()}, {hi.tolist()} is not a "
+                             f"nonempty box of the {r}^3 grid")
+        self.box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        # the cells that may hold mesh cells and sources: the box less its
+        # outer layer, except on faces that lie on the grid border
+        self.core = (lo + (lo > 0), hi - (hi < r))
+        mesh_total = np.count_nonzero(grid.labels)
+        in_box = np.count_nonzero(grid.labels[self.box])
+        if in_box != mesh_total:
+            raise ValueError(f"search box leaves {mesh_total - in_box} mesh cells outside")
+        in_core = np.count_nonzero(grid.labels[tuple(slice(a, b) for a, b in zip(*self.core))])
+        if in_core != in_box:
+            raise ValueError(f"{in_box - in_core} mesh cells lie on the search box's outer "
+                             "layer away from the grid border")
+        self.lo = lo
+        self.dims = tuple(int(d) for d in hi - lo + 2)
+        n = int(np.prod(self.dims))
         inner = (slice(1, -1),) * 3
-        cell = np.arange(n, dtype=np.int32).reshape(p, p, p)
-        # padded flat index -> unpadded flat index; -1 on padding and on the
+        cell = np.arange(n, dtype=np.int32).reshape(self.dims)
+        # padded flat index -> flat grid index; -1 on padding and on the
         # super-source, which is also where a -1 index lands
         self.unpadded = np.full(n + 1, -1, dtype=np.int32)
-        self.unpadded[cell[inner]] = np.arange(r * r * r, dtype=np.int32).reshape(r, r, r)
+        self.unpadded[cell[inner]] = np.arange(r * r * r, dtype=np.int32).reshape(r, r, r)[self.box]
         # a fresh search's step counts: -1 on inner cells, -2 on padding
         self.blank_steps = np.where(self.unpadded[:n] >= 0, -1, -2).astype(np.int32)
-        mesh = np.zeros((p, p, p), dtype=bool)
-        mesh[inner] = grid.labels
+        mesh = np.zeros(self.dims, dtype=bool)
+        mesh[inner] = grid.labels[self.box]
         mesh = mesh.reshape(-1)
         self.labels = grid.labels  # the grid it was built for
         self.mesh_cells = np.flatnonzero(mesh)
-        self.offsets = np.array([p * p, -p * p, p, -p, 1, -1], dtype=np.int32)
+        _, py, pz = self.dims
+        self.offsets = np.array([py * pz, -py * pz, pz, -pz, 1, -1], dtype=np.int32)
         self.source = n
         # spare room for the super-source's row: a rasterized bone (at most
         # 3R + 4 cells) or a restart frontier (at most 6); `search` grows it
@@ -122,11 +149,14 @@ def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 
     """BFS distance field for one bone.
 
     Each search phase is one compiled breadth-first traversal of `graph`
-    (built from `grid` when not given; a graph of another grid raises
-    `ValueError`).  Its super-source leads to the phase's sources in
-    claim order: the bone's cells, or a restart's hollow frontier.  FIFO
-    order and the fixed neighbour order make the result deterministic
-    and equal to a sequential queue search on the unpadded grid.
+    (built over the whole of `grid` when not given; a graph of another
+    grid raises `ValueError`, and so does a bone cell where the graph's
+    box allows no mesh cell).  Its super-source leads to the phase's
+    sources in claim order: the bone's cells, or a restart's hollow
+    frontier.  FIFO order and the fixed neighbour order make the result
+    deterministic and equal, on every cell of the graph's box, to a
+    sequential queue search on the unpadded grid.  Cells outside the box
+    read -1 in both `steps` and `pred`.
 
     A phase ends with the visited cells closed under the allowed moves,
     so a restart reaches unvisited cells only through unvisited cells.
@@ -141,12 +171,17 @@ def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 
         graph = GridGraph(grid)
     elif graph.labels is not grid.labels:
         raise ValueError("grid graph was built for a different grid")
-    p = grid.resolution + 2
-    inner = (slice(1, -1),) * 3
+    lo, hi = graph.core
+    outside = ((bone_cells < lo) | (bone_cells >= hi)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"bone cell {bone_cells[np.argmax(outside)].tolist()} lies outside "
+                         "the search box or on its outer layer")
     mesh_cells, offsets = graph.mesh_cells, graph.offsets
     steps = graph.blank_steps.copy()
-    pred = np.full(p * p * p, -1, dtype=np.int32)
-    sources = ((bone_cells[:, 0] + 1) * p + bone_cells[:, 1] + 1) * p + bone_cells[:, 2] + 1
+    pred = np.full(len(steps), -1, dtype=np.int32)
+    _, py, pz = graph.dims
+    c = bone_cells - graph.lo + 1
+    sources = (c[:, 0] * py + c[:, 1]) * pz + c[:, 2]
     base, root = 0, -1
     while True:
         cells, parents, depth = graph.search(sources, root)
@@ -166,9 +201,13 @@ def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 
         sources = root + offsets
         sources = sources[steps[sources] == -1]
         base = int(steps[root]) + 1
-    steps = np.ascontiguousarray(steps.reshape(p, p, p)[inner])
-    pred = np.ascontiguousarray(pred.reshape(p, p, p)[inner])
-    return DistanceField(bone, steps, pred, grid.cell_size)
+    inner = (slice(1, -1),) * 3
+    r = grid.resolution
+    field = DistanceField(bone, np.full((r, r, r), -1, dtype=np.int32),
+                          np.full((r, r, r), -1, dtype=np.int32), grid.cell_size)
+    field.steps[graph.box] = steps.reshape(graph.dims)[inner]
+    field.pred[graph.box] = pred.reshape(graph.dims)[inner]
+    return field
 
 
 def vertex_distances(field: DistanceField, positions: np.ndarray, grid: VoxelGrid) -> np.ndarray:
@@ -199,11 +238,27 @@ def bone_cell_sets(rig: Rig, grid: VoxelGrid) -> list[np.ndarray]:
     return [rasterize_bone(s, e, grid) for s, e in zip(starts, ends)]
 
 
+def search_box(grid: VoxelGrid, cell_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The bounding box `(lo, hi)` of every mesh cell and every cell of
+    `cell_sets`, grown by one cell and clipped to the grid."""
+    cells = np.concatenate(cell_sets)
+    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
+    for axis in range(3):
+        # the mesh's extent along one axis from its projection, a sixth of
+        # the time of listing every mesh cell with `np.argwhere` at R = 88
+        occupied = np.flatnonzero(grid.labels.any(axis=tuple({0, 1, 2} - {axis})))
+        if occupied.size:
+            lo[axis], hi[axis] = min(lo[axis], occupied[0]), max(hi[axis], occupied[-1] + 1)
+    return np.maximum(lo - 1, 0), np.minimum(hi + 1, grid.resolution)
+
+
 def bone_fields(rig: Rig, grid: VoxelGrid) -> Iterator[tuple[DistanceField, np.ndarray]]:
     """Each bone's distance field with its column of vertex distances, in
-    bone order."""
-    graph = GridGraph(grid)
-    for j, cells in enumerate(bone_cell_sets(rig, grid)):
+    bone order.  The search covers `search_box` of the mesh and the bones,
+    whose fields equal the whole grid's on every cell of the box."""
+    cell_sets = bone_cell_sets(rig, grid)
+    graph = GridGraph(grid, search_box(grid, cell_sets))
+    for j, cells in enumerate(cell_sets):
         field = compute_cell_distances(grid, cells, j, graph)
         column = vertex_distances(field, rig.mesh.vertices, grid)
         if not np.all(np.isfinite(column)):

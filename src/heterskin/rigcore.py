@@ -37,6 +37,17 @@ def _triples(value, dtype, what: str) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
+def _first_non_integer(value) -> tuple[int, object] | None:
+    """Flat position and entry of the first entry of ``value`` that is not
+    an integer (a numpy integer is one, a bool is not), or None."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+        return None
+    for k, x in enumerate(np.asarray(value, dtype=object).reshape(-1)):
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            return k, x
+    return None
+
+
 @dataclass(frozen=True)
 class Mesh:
     vertices: np.ndarray  # (N, 3) float64
@@ -45,6 +56,9 @@ class Mesh:
     def __post_init__(self):
         v = _triples(self.vertices, np.float64, "vertices")
         t = _triples(self.triangles, np.int64, "triangles")
+        bad = _first_non_integer(self.triangles)
+        if bad is not None:
+            raise RigError(f"triangle {bad[0] // 3}: vertex index {bad[1]!r} is not an integer")
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         if not np.all(np.isfinite(v)):
@@ -89,6 +103,13 @@ class Skeleton:
     @classmethod
     def build(cls, names, positions, parents) -> "Skeleton":
         positions = _triples(positions, np.float64, "joint positions")
+        finite = np.isfinite(positions).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise RigError(f"joint {i}: position {positions[i].tolist()} is not finite")
+        bad = _first_non_integer(parents)
+        if bad is not None:
+            raise RigError(f"joint {bad[0]}: parent {bad[1]!r} is not an integer")
         parents = np.asarray(parents, dtype=np.int64).reshape(-1)
         names = tuple(str(n) for n in names)
         if not (len(names) == len(positions) == len(parents)):

@@ -241,6 +241,34 @@ class TestErrors:
         assert run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("triangles", [[0, 1, 2.7]], "triangle 0: vertex index 2.7 is not an integer"),
+        ("triangles", [[0, True, 2]], "triangle 0: vertex index True is not an integer"),
+        ("parent", 0.7, "joint 1: parent 0.7 is not an integer"),
+        ("parent", -1.5, "joint 1: parent -1.5 is not an integer"),
+        ("position", [float("nan"), 0, 0], "joint 1: position [nan, 0.0, 0.0] is not finite"),
+        ("position", [0, float("inf"), 0], "joint 1: position [0.0, inf, 0.0] is not finite"),
+    ])
+    def test_non_integer_index_or_non_finite_joint_exits_1(self, tmp_path, capsys,
+                                                            field, value, message):
+        doc = {
+            "name": "bad",
+            "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+            "triangles": [[0, 1, 2]],
+            "joints": [{"name": "r", "position": [0, 0, 0], "parent": -1},
+                       {"name": "j", "position": [0.5, 0.2, 0], "parent": 0}],
+        }
+        if field == "triangles":
+            doc["triangles"] = value
+        else:
+            doc["joints"][1][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "d.json"
+        assert run(["hollowdist", "--rig", str(bad), "--resolution", "8", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("joint, message", [
         ({"name": "j2", "position": [0, 0, 0]}, "joint 2 is missing field 'parent'"),
         (7, "joint 2 is not an object"),

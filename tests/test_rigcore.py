@@ -95,6 +95,23 @@ class TestMesh:
             Mesh(vertices, triangles)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("triangles, message", [
+        ([[0, 1, 2.7]], "triangle 0: vertex index 2.7 is not an integer"),
+        ([[0, 1, 2], [0, True, 2]], "triangle 1: vertex index True is not an integer"),
+        ([[0, 1, 2.0]], "triangle 0: vertex index 2.0 is not an integer"),
+        ([[0, 1, "2"]], "triangle 0: vertex index '2' is not an integer"),
+        (np.array([[0.0, 1.0, 2.0]]), "triangle 0: vertex index 0.0 is not an integer"),
+        (np.array([[True, False, True]]), "triangle 0: vertex index True is not an integer"),
+    ])
+    def test_non_integer_triangle_index_rejected(self, triangles, message):
+        with pytest.raises(RigError) as info:
+            Mesh(np.eye(3), triangles)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("triangles", [[[0, np.int32(1), 2]], np.array([[0, 1, 2]], np.uint8)])
+    def test_numpy_integer_triangle_index_accepted(self, triangles):
+        assert Mesh(np.eye(3), triangles).triangles.tolist() == [[0, 1, 2]]
+
     def test_edges_sorted_unique(self):
         mesh = _square_mesh()
         edges = mesh.edges()
@@ -136,6 +153,30 @@ class TestSkeleton:
     def test_positions_of_wrong_shape_rejected(self):
         with pytest.raises(RigError, match=r"joint positions must be an \(n, 3\) array"):
             Skeleton.build(["a", "b"], np.zeros((3, 2)), [-1, 0])
+
+    @pytest.mark.parametrize("parents, message", [
+        ([-1.5, 0.9], "joint 0: parent -1.5 is not an integer"),
+        ([-1, 0.0], "joint 1: parent 0.0 is not an integer"),
+        ([-1, True], "joint 1: parent True is not an integer"),
+        ([-1, "0"], "joint 1: parent '0' is not an integer"),
+        (np.array([-1.0, 0.0]), "joint 0: parent -1.0 is not an integer"),
+    ])
+    def test_non_integer_parent_rejected(self, parents, message):
+        with pytest.raises(RigError) as info:
+            Skeleton.build(["a", "b"], np.zeros((2, 3)), parents)
+        assert str(info.value) == message
+
+    def test_numpy_integer_parents_accepted(self):
+        for parents in ([np.int64(-1), np.int32(0)], np.array([-1, 0], np.int16)):
+            assert Skeleton.build(["a", "b"], np.zeros((2, 3)), parents).parents.tolist() == [-1, 0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, value):
+        positions = np.zeros((3, 3))
+        positions[1, 0] = value
+        with pytest.raises(RigError) as info:
+            Skeleton.build(["a", "b", "c"], positions, [-1, 0, 1])
+        assert str(info.value) == f"joint 1: position {[value, 0.0, 0.0]} is not finite"
 
     def test_two_roots_rejected(self):
         with pytest.raises(RigError):

@@ -4,9 +4,8 @@ The search starts from bone cells, never expands from a mesh cell into a
 hollow cell, and restarts from the nearest traversed mesh cell bordering
 untraversed hollow space until every mesh cell is reached.  Each search
 phase, the first and every restart, is one call of scipy's compiled
-`breadth_first_order` on a `GridGraph`, the allowed moves of the box
-around the mesh and the bones as a CSR graph built once per rig and
-shared by all its bones.  A vertex's
+`breadth_first_order` on a `GridGraph`, the grid's allowed moves as a
+CSR graph built once per rig and shared by all its bones.  A vertex's
 distance follows its cell's predecessor (distance of the previous cell
 plus the straight-line distance from that cell's center to the vertex).
 """
@@ -26,7 +25,7 @@ from .voxelize import VoxelGrid, rasterize_bone
 @dataclass
 class DistanceField:
     bone: int
-    steps: np.ndarray  # (R, R, R) int32, -1 = untraversed or outside the search box
+    steps: np.ndarray  # (R, R, R) int32, -1 = untraversed
     pred: np.ndarray  # (R, R, R) int32 flat cell index, -1 = none
     cell_size: float
 
@@ -41,78 +40,47 @@ class DistanceField:
 class GridGraph:
     """The allowed moves of one grid's search, as a CSR graph.
 
-    The graph covers a box of the grid, `(lo, hi)` with `hi` exclusive
-    (the whole grid when `box` is None).  Nodes are the box's cells padded
-    by one cell per side, in padded flat order, then a super-source; this
-    order is monotone in the grid's flat order.  Every cell's row has six
-    entries: an inner cell's neighbours in the fixed order +x, -x, +y,
-    -y, +z, -z, with each mesh -> hollow move replaced by a self-loop.
-    A padding cell's row is all self-loops, so it can be reached but
-    never expands.  A cell is claimed before it expands, so a self-loop
-    claims nothing.  `search` rewrites the super-source's row, so one
-    graph serves every bone and every restart of a rig.
-
-    Every mesh cell must lie in the box, and off its outer layer except on
-    faces that lie on the grid border (`ValueError` otherwise): a hollow
-    outer layer is what makes the box's fields equal the whole grid's.
+    Nodes are the grid's cells in flat order, then a super-source.  Every
+    cell's row has six entries: its neighbours in the fixed order +x, -x,
+    +y, -y, +z, -z, with a move that leaves the grid or goes from a mesh
+    cell to a hollow cell replaced by a self-loop.  A cell is claimed
+    before it expands, so a self-loop claims nothing.  `search` rewrites
+    the super-source's row, so one graph serves every bone and every
+    restart of a rig.
     """
 
-    def __init__(self, grid: VoxelGrid, box: tuple | None = None):
+    def __init__(self, grid: VoxelGrid):
         r = grid.resolution
-        if box is None:
-            box = ((0, 0, 0), (r, r, r))
-        lo, hi = (np.asarray(b, dtype=np.int64).reshape(3) for b in box)
-        if not ((0 <= lo) & (lo < hi) & (hi <= r)).all():
-            raise ValueError(f"search box {lo.tolist()}, {hi.tolist()} is not a "
-                             f"nonempty box of the {r}^3 grid")
-        self.box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        # the cells that may hold mesh cells and sources: the box less its
-        # outer layer, except on faces that lie on the grid border
-        self.core = (lo + (lo > 0), hi - (hi < r))
-        mesh_total = np.count_nonzero(grid.labels)
-        in_box = np.count_nonzero(grid.labels[self.box])
-        if in_box != mesh_total:
-            raise ValueError(f"search box leaves {mesh_total - in_box} mesh cells outside")
-        in_core = np.count_nonzero(grid.labels[tuple(slice(a, b) for a, b in zip(*self.core))])
-        if in_core != in_box:
-            raise ValueError(f"{in_box - in_core} mesh cells lie on the search box's outer "
-                             "layer away from the grid border")
-        self.lo = lo
-        self.dims = tuple(int(d) for d in hi - lo + 2)
-        n = int(np.prod(self.dims))
-        inner = (slice(1, -1),) * 3
-        cell = np.arange(n, dtype=np.int32).reshape(self.dims)
-        # padded flat index -> flat grid index; -1 on padding and on the
-        # super-source, which is also where a -1 index lands
-        self.unpadded = np.full(n + 1, -1, dtype=np.int32)
-        self.unpadded[cell[inner]] = np.arange(r * r * r, dtype=np.int32).reshape(r, r, r)[self.box]
-        # a fresh search's step counts: -1 on inner cells, -2 on padding
-        self.blank_steps = np.where(self.unpadded[:n] >= 0, -1, -2).astype(np.int32)
-        mesh = np.zeros(self.dims, dtype=bool)
-        mesh[inner] = grid.labels[self.box]
-        mesh = mesh.reshape(-1)
+        n = r * r * r
         self.labels = grid.labels  # the grid it was built for
-        self.mesh_cells = np.flatnonzero(mesh)
-        _, py, pz = self.dims
-        self.offsets = np.array([py * pz, -py * pz, pz, -pz, 1, -1], dtype=np.int32)
         self.source = n
         # spare room for the super-source's row: a rasterized bone (at most
         # 3R + 4 cells) or a restart frontier (at most 6); `search` grows it
         self.indices = np.empty(6 * n + 3 * r + 6, dtype=np.int32)
-        rows = self.indices[:6 * n].reshape(n, 6)
-        np.add(cell.reshape(-1, 1), self.offsets, out=rows)
-        padding = np.flatnonzero(self.blank_steps == -2)
-        rows[padding] = padding[:, None]
-        nb = rows[self.mesh_cells]
-        rows[self.mesh_cells] = np.where(mesh[nb], nb, self.mesh_cells[:, None])
+        cell = np.arange(n, dtype=np.int32).reshape(r, r, r)
+        rows = self.indices[:6 * n].reshape(r, r, r, 6)
+        np.add(cell[..., None], np.array([r * r, -r * r, r, -r, 1, -1], dtype=np.int32),
+               out=rows)
+        for axis in range(3):
+            # a move off the grid stays put
+            top, bottom = (slice(None),) * axis + (-1,), (slice(None),) * axis + (0,)
+            rows[top + (..., 2 * axis)] = cell[top]
+            rows[bottom + (..., 2 * axis + 1)] = cell[bottom]
+        rows = rows.reshape(n, 6)
+        mesh = grid.labels.reshape(-1).astype(bool)
+        self.mesh_cells = np.flatnonzero(mesh)
+        # the mesh cells' neighbours on the grid, which a restart looks at
+        self.mesh_neighbors = rows[self.mesh_cells]
+        rows[self.mesh_cells] = np.where(mesh[self.mesh_neighbors], self.mesh_neighbors,
+                                         self.mesh_cells[:, None])
         self.indptr = np.arange(0, 6 * n + 7, 6, dtype=np.int32)
 
-    def search(self, sources: np.ndarray, root) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Breadth-first search from `sources` (padded flat indices in
-        claim order; a repeated source is claimed once).
+    def search(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first search from `sources` (flat cell indices in claim
+        order; a repeated source is claimed once).
 
-        Returns the reached cells in FIFO order, each one's parent (`root`
-        for a source) and its depth (0 for a source).
+        Returns the reached cells in FIFO order and the predecessor of
+        every node (`source` for a source).
         """
         n = self.source + 1
         edges = 6 * self.source
@@ -127,21 +95,32 @@ class GridGraph:
         order, parents = breadth_first_order(graph, self.source, directed=True,
                                              return_predecessors=True)
         # intp indices: numpy converts int32 ones on every use
-        order = order.astype(np.intp)
-        cells = order[1:]
-        parents = parents[cells]
-        # in FIFO order the parents' positions in `order` never decrease, so
-        # a level ends at the first cell whose parent lies beyond the level
-        # before it
-        position = np.empty(n, dtype=np.int32)
-        position[order] = np.arange(len(order), dtype=np.int32)
-        parent_position = position[parents.astype(np.intp)]
-        bounds = [0]
-        while bounds[-1] < len(cells):
-            bounds.append(int(parent_position.searchsorted(np.int32(bounds[-1] + 1))))
-        parents[:bounds[1]] = root
-        depth = np.repeat(np.arange(len(bounds) - 1, dtype=np.int32), np.diff(bounds))
-        return cells, parents, depth
+        return order[1:].astype(np.intp), parents
+
+
+def write_levels(steps: np.ndarray, cells: np.ndarray, parents: np.ndarray, sources: int,
+                 base: int) -> None:
+    """Write `base` + depth into `steps` for `cells`, new cells of one
+    search in FIFO order, with their `parents`; the first `sources` are
+    the search's sources.
+
+    A new cell's parent is new too, and in FIFO order the parents'
+    positions never decrease.  So once one level is written, the next
+    ends at the first cell whose parent has no step count yet.
+    """
+    begin, end, total = 0, sources, len(cells)
+    while begin < total:
+        steps[cells[begin:end]] = base
+        lo, hi = end, total
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if steps[parents[mid]] < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == end < total:
+            raise RuntimeError("search order is not first-in, first-out")
+        begin, end, base = end, lo, base + 1
 
 
 def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 0,
@@ -149,65 +128,60 @@ def compute_cell_distances(grid: VoxelGrid, bone_cells: np.ndarray, bone: int = 
     """BFS distance field for one bone.
 
     Each search phase is one compiled breadth-first traversal of `graph`
-    (built over the whole of `grid` when not given; a graph of another
-    grid raises `ValueError`, and so does a bone cell where the graph's
-    box allows no mesh cell).  Its super-source leads to the phase's
-    sources in claim order: the bone's cells, or a restart's hollow
-    frontier.  FIFO order and the fixed neighbour order make the result
-    deterministic and equal, on every cell of the graph's box, to a
-    sequential queue search on the unpadded grid.  Cells outside the box
-    read -1 in both `steps` and `pred`.
+    (built from `grid` when not given; a graph of another grid raises
+    `ValueError`, and so does a bone cell off the grid).  Its super-source
+    leads to the phase's sources in claim order: the bone's cells, or a
+    restart's hollow frontier.  FIFO order and the fixed neighbour order
+    make the result deterministic and equal to a sequential queue search
+    on the grid.
 
     A phase ends with the visited cells closed under the allowed moves,
     so a restart reaches unvisited cells only through unvisited cells.
     It runs on the whole graph and may re-reach visited cells, but only
-    cells still at -1 take its steps and predecessors.  Padding cells
-    carry step count -2 and never take any.
+    cells still at -1 take its steps and predecessors.  The first phase
+    finds every cell at -1.
     """
     bone_cells = np.atleast_2d(np.asarray(bone_cells, dtype=np.int64))
     if bone_cells.size == 0:
         raise ValueError("bone cell set is empty")
+    r = grid.resolution
+    off_grid = ((bone_cells < 0) | (bone_cells >= r)).any(axis=1)
+    if off_grid.any():
+        raise ValueError(f"bone cell {bone_cells[np.argmax(off_grid)].tolist()} lies outside "
+                         f"the {r}^3 grid")
     if graph is None:
         graph = GridGraph(grid)
     elif graph.labels is not grid.labels:
         raise ValueError("grid graph was built for a different grid")
-    lo, hi = graph.core
-    outside = ((bone_cells < lo) | (bone_cells >= hi)).any(axis=1)
-    if outside.any():
-        raise ValueError(f"bone cell {bone_cells[np.argmax(outside)].tolist()} lies outside "
-                         "the search box or on its outer layer")
-    mesh_cells, offsets = graph.mesh_cells, graph.offsets
-    steps = graph.blank_steps.copy()
-    pred = np.full(len(steps), -1, dtype=np.int32)
-    _, py, pz = graph.dims
-    c = bone_cells - graph.lo + 1
-    sources = (c[:, 0] * py + c[:, 1]) * pz + c[:, 2]
+    mesh_cells, mesh_neighbors = graph.mesh_cells, graph.mesh_neighbors
+    steps = np.full(r * r * r, -1, dtype=np.int32)
+    pred = np.full(r * r * r, -1, dtype=np.int32)
+    sources = (bone_cells[:, 0] * r + bone_cells[:, 1]) * r + bone_cells[:, 2]
     base, root = 0, -1
     while True:
-        cells, parents, depth = graph.search(sources, root)
-        new = steps[cells] == -1
-        cells = cells[new]
-        steps[cells] = base + depth[new]
-        pred[cells] = graph.unpadded[parents[new]]
-        if not (steps[mesh_cells] == -1).any():
+        cells, parents = graph.search(sources)
+        if base:
+            cells = cells[steps[cells] == -1]
+        parents = parents[cells]
+        first = np.count_nonzero(parents[:len(sources)] == graph.source)
+        pred[cells] = parents
+        pred[cells[:first]] = root
+        write_levels(steps, cells, parents, first, base)
+        traversed = steps[mesh_cells] >= 0
+        if traversed.all():
             break
         # restart: nearest traversed mesh cell bordering untraversed hollow
         # (a traversed mesh cell's untraversed neighbours are all hollow)
-        cand = mesh_cells[steps[mesh_cells] >= 0]
-        cand = cand[(steps[cand[:, None] + offsets] == -1).any(axis=1)]
-        if cand.size == 0:
+        borders = traversed & (steps[mesh_neighbors] == -1).any(axis=1)
+        if not borders.any():
             raise RuntimeError("mesh cells unreachable even via restarts; grid is corrupt")
-        root = cand[np.lexsort((cand, steps[cand]))[0]]
-        sources = root + offsets
+        cand = np.flatnonzero(borders)
+        pick = cand[np.lexsort((mesh_cells[cand], steps[mesh_cells[cand]]))[0]]
+        root = mesh_cells[pick]
+        sources = mesh_neighbors[pick]
         sources = sources[steps[sources] == -1]
         base = int(steps[root]) + 1
-    inner = (slice(1, -1),) * 3
-    r = grid.resolution
-    field = DistanceField(bone, np.full((r, r, r), -1, dtype=np.int32),
-                          np.full((r, r, r), -1, dtype=np.int32), grid.cell_size)
-    field.steps[graph.box] = steps.reshape(graph.dims)[inner]
-    field.pred[graph.box] = pred.reshape(graph.dims)[inner]
-    return field
+    return DistanceField(bone, steps.reshape(r, r, r), pred.reshape(r, r, r), grid.cell_size)
 
 
 def vertex_distances(field: DistanceField, positions: np.ndarray, grid: VoxelGrid) -> np.ndarray:
@@ -238,27 +212,11 @@ def bone_cell_sets(rig: Rig, grid: VoxelGrid) -> list[np.ndarray]:
     return [rasterize_bone(s, e, grid) for s, e in zip(starts, ends)]
 
 
-def search_box(grid: VoxelGrid, cell_sets: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The bounding box `(lo, hi)` of every mesh cell and every cell of
-    `cell_sets`, grown by one cell and clipped to the grid."""
-    cells = np.concatenate(cell_sets)
-    lo, hi = cells.min(axis=0), cells.max(axis=0) + 1
-    for axis in range(3):
-        # the mesh's extent along one axis from its projection, a sixth of
-        # the time of listing every mesh cell with `np.argwhere` at R = 88
-        occupied = np.flatnonzero(grid.labels.any(axis=tuple({0, 1, 2} - {axis})))
-        if occupied.size:
-            lo[axis], hi[axis] = min(lo[axis], occupied[0]), max(hi[axis], occupied[-1] + 1)
-    return np.maximum(lo - 1, 0), np.minimum(hi + 1, grid.resolution)
-
-
 def bone_fields(rig: Rig, grid: VoxelGrid) -> Iterator[tuple[DistanceField, np.ndarray]]:
     """Each bone's distance field with its column of vertex distances, in
-    bone order.  The search covers `search_box` of the mesh and the bones,
-    whose fields equal the whole grid's on every cell of the box."""
-    cell_sets = bone_cell_sets(rig, grid)
-    graph = GridGraph(grid, search_box(grid, cell_sets))
-    for j, cells in enumerate(cell_sets):
+    bone order."""
+    graph = GridGraph(grid)
+    for j, cells in enumerate(bone_cell_sets(rig, grid)):
         field = compute_cell_distances(grid, cells, j, graph)
         column = vertex_distances(field, rig.mesh.vertices, grid)
         if not np.all(np.isfinite(column)):

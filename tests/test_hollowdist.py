@@ -86,29 +86,6 @@ def _shell_case(draw):
     return labels, np.array(seeds), len(sizes)
 
 
-@st.composite
-def _box_case(draw):
-    """A shell or border case set in a larger cube by a random margin on
-    each face (a zero margin keeps that face on the grid border), with a
-    search box around its mesh cells and seeds grown by one or two cells
-    on each side and clipped to the grid."""
-    if draw(st.booleans()):
-        labels, seeds, nests = draw(_shell_case())
-    else:
-        (labels, seeds), nests = draw(_border_case()), 0
-    margin = draw(st.integers(min_value=0, max_value=3))
-    before = np.array(draw(st.tuples(*[st.integers(min_value=0, max_value=margin)] * 3)))
-    r = labels.shape[0] + margin
-    grown = np.zeros((r,) * 3, bool)
-    grown[tuple(slice(b, b + labels.shape[0]) for b in before)] = labels
-    seeds = seeds + before
-    cells = np.concatenate([np.argwhere(grown), seeds])
-    growth = st.tuples(*[st.integers(min_value=1, max_value=2)] * 3)
-    lo = np.maximum(cells.min(axis=0) - np.array(draw(growth)), 0)
-    hi = np.minimum(cells.max(axis=0) + 1 + np.array(draw(growth)), r)
-    return grown, seeds, nests, (lo, hi)
-
-
 def _restarts(field, labels):
     """Hollow cells whose predecessor is a mesh cell, that is, restart
     frontier cells: at least one per restart."""
@@ -166,117 +143,6 @@ class TestGridGraph:
             hollowdist.compute_cell_distances(other, np.array([[1, 1, 1]]), 0, graph)
 
 
-def shell_grid(lo, hi, r=12):
-    """An r^3 grid holding one closed, one-cell-thick box shell over the
-    cells [lo, hi) of each axis."""
-    labels = np.zeros((r, r, r), bool)
-    labels[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
-    labels[tuple(slice(a + 1, b - 1) for a, b in zip(lo, hi))] = False
-    return voxelize.VoxelGrid(origin=np.zeros(3), cell_size=1.0, resolution=r, labels=labels)
-
-
-def whole_grid_box(grid, cell_sets):
-    return np.zeros(3, dtype=np.int64), np.full(3, grid.resolution, dtype=np.int64)
-
-
-class TestSearchBox:
-    @settings(derandomize=True, deadline=None, max_examples=300)
-    @given(case=_box_case())
-    def test_matches_reference_in_box_and_reads_minus_one_outside(self, case):
-        labels, seeds, nests, (lo, hi) = case
-        grid = voxelize.VoxelGrid(origin=np.zeros(3), cell_size=1.0,
-                                  resolution=labels.shape[0], labels=labels)
-        field = hollowdist.compute_cell_distances(grid, seeds, 0,
-                                                  hollowdist.GridGraph(grid, (lo, hi)))
-        ref_steps, ref_pred = reference_bfs(labels, seeds)
-        box = tuple(slice(a, b) for a, b in zip(lo, hi))
-        assert np.array_equal(field.steps[box], ref_steps[box])
-        assert np.array_equal(field.pred[box], ref_pred[box])
-        outside = np.ones(labels.shape, bool)
-        outside[box] = False
-        assert (field.steps[outside] == -1).all() and (field.pred[outside] == -1).all()
-        assert _restarts(field, labels) >= nests
-
-    def test_box_field_equals_whole_grid_field_in_box(self):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        seeds = np.array([[3, 5, 5], [5, 6, 8]])
-        box = ((2, 2, 2), (10, 10, 10))
-        a = hollowdist.compute_cell_distances(grid, seeds)
-        b = hollowdist.compute_cell_distances(grid, seeds, 0, hollowdist.GridGraph(grid, box))
-        inside = (slice(2, 10),) * 3
-        assert np.array_equal(a.steps[inside], b.steps[inside])
-        assert np.array_equal(a.pred[inside], b.pred[inside])
-        # both flood the hollow space around the shell, never its inside
-        assert (a.steps >= 0).sum() == 12 ** 3 - 2 ** 3
-        assert (b.steps >= 0).sum() == 8 ** 3 - 2 ** 3
-
-    def test_box_leaving_a_mesh_cell_outside_rejected(self):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        with pytest.raises(ValueError, match="leaves 16 mesh cells outside"):
-            hollowdist.GridGraph(grid, ((3, 3, 3), (7, 9, 9)))
-
-    def test_mesh_cell_on_the_outer_layer_rejected(self):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        with pytest.raises(ValueError, match="16 mesh cells lie on the search box's outer layer"):
-            hollowdist.GridGraph(grid, ((4, 3, 3), (9, 9, 9)))
-
-    def test_mesh_cell_on_a_grid_border_face_accepted(self):
-        grid = shell_grid((0, 4, 4), (4, 8, 8))
-        box = ((0, 3, 3), (5, 9, 9))
-        seeds = np.array([[0, 5, 5], [3, 4, 6]])
-        a = hollowdist.compute_cell_distances(grid, seeds)
-        b = hollowdist.compute_cell_distances(grid, seeds, 0, hollowdist.GridGraph(grid, box))
-        inside = (slice(0, 5), slice(3, 9), slice(3, 9))
-        assert np.array_equal(a.steps[inside], b.steps[inside])
-        assert np.array_equal(a.pred[inside], b.pred[inside])
-
-    @pytest.mark.parametrize("box", [((3, 3, 3), (3, 9, 9)), ((-1, 3, 3), (9, 9, 9)),
-                                     ((3, 3, 3), (9, 9, 13))])
-    def test_box_not_inside_the_grid_rejected(self, box):
-        with pytest.raises(ValueError, match="is not a nonempty box of the 12\\^3 grid"):
-            hollowdist.GridGraph(shell_grid((4, 4, 4), (8, 8, 8)), box)
-
-    @pytest.mark.parametrize("cell", [[1, 5, 5], [5, 5, 10], [3, 5, 5], [5, 8, 5]])
-    def test_bone_cell_outside_the_box_or_on_its_outer_layer_rejected(self, cell):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        graph = hollowdist.GridGraph(grid, ((3, 3, 3), (9, 9, 9)))
-        with pytest.raises(ValueError, match=f"bone cell \\{cell}\\ lies outside the search box"):
-            hollowdist.compute_cell_distances(grid, np.array([[5, 5, 5], cell]), 0, graph)
-
-    def test_bone_cell_on_a_grid_border_face_accepted(self):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        graph = hollowdist.GridGraph(grid, ((0, 3, 3), (9, 9, 9)))
-        field = hollowdist.compute_cell_distances(grid, np.array([[0, 5, 5]]), 0, graph)
-        assert field.steps[0, 5, 5] == 0 and field.steps[4, 5, 5] == 4
-
-    def test_search_box_spans_mesh_and_bone_cells_plus_one(self):
-        grid = shell_grid((4, 4, 4), (8, 8, 8))
-        lo, hi = hollowdist.search_box(grid, [np.array([[5, 5, 5]]), np.array([[5, 9, 0]])])
-        assert lo.tolist() == [3, 3, 0] and hi.tolist() == [9, 11, 9]
-
-    @pytest.mark.parametrize("resolution", [32, 88])
-    @pytest.mark.parametrize("share", [0.0, 1.0])
-    def test_bone_fields_equal_whole_grid_bytes_on_synthgen_rigs(self, monkeypatch,
-                                                                 resolution, share):
-        cfg = synthgen.SynthConfig(resolution=resolution, prop_probability=share,
-                                   antenna_probability=share)
-        for seed in (0, 1):
-            rig = synthgen.gen_character(cfg, seed)
-            grid = voxelize.voxelize_mesh(rig.mesh, resolution)
-            lo, hi = hollowdist.search_box(grid, hollowdist.bone_cell_sets(rig, grid))
-            assert np.prod(hi - lo) < resolution ** 3
-            box = tuple(slice(a, b) for a, b in zip(lo, hi))
-            fields = list(hollowdist.bone_fields(rig, grid))
-            with monkeypatch.context() as m:
-                m.setattr(hollowdist, "search_box", whole_grid_box)
-                whole = list(hollowdist.bone_fields(rig, grid))
-            assert len(fields) == len(whole) == rig.skeleton.num_bones
-            for (field, column), (whole_field, whole_column) in zip(fields, whole):
-                assert column.tobytes() == whole_column.tobytes()
-                assert np.array_equal(field.steps[box], whole_field.steps[box])
-                assert np.array_equal(field.pred[box], whole_field.pred[box])
-
-
 class TestCellDistances:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(case=_border_case())
@@ -303,6 +169,12 @@ class TestCellDistances:
     def test_empty_seed_set_rejected(self):
         with pytest.raises(ValueError):
             hollowdist.compute_cell_distances(open_grid(), np.empty((0, 3), int))
+
+    @pytest.mark.parametrize("cell", [[-1, 2, 2], [2, 8, 2], [2, 2, 9]])
+    def test_seed_off_the_grid_rejected(self, cell):
+        # flat indices would wrap or land on another cell
+        with pytest.raises(ValueError, match=f"bone cell \\{cell}\\ lies outside the 8\\^3 grid"):
+            hollowdist.compute_cell_distances(open_grid(), np.array([[2, 2, 2], cell]))
 
     def test_matches_reference_on_random_grids(self):
         rng = np.random.default_rng(17)

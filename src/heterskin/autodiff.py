@@ -479,7 +479,7 @@ class AdamState:
 
 
 def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float = 1e-4, wd: float = 1e-4) -> None:
+              state: AdamState, lr: float, wd: float) -> None:
     """Adam with decoupled weight decay applied before the update.
 
     A parameter's value, first and second moments are updated in place, in

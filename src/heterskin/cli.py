@@ -256,6 +256,7 @@ def cmd_stats_topk(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    hyper, synth = model.HyperParams(), synthgen.SynthConfig()
     parser = argparse.ArgumentParser(
         prog="heterskin",
         description="Skin-weight prediction pipeline: synthesize, voxelize, "
@@ -271,48 +272,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--prop-prob", type=float, default=0.3)
-    p.add_argument("--antenna-prob", type=float, default=0.3)
-    p.add_argument("--resolution", type=int, default=48)
+    p.add_argument("--prop-prob", type=float, default=synth.prop_probability)
+    p.add_argument("--antenna-prob", type=float, default=synth.antenna_probability)
+    p.add_argument("--resolution", type=int, default=synth.resolution)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("voxelize", help="voxelize a rig's mesh")
     p.add_argument("--rig", required=True)
-    p.add_argument("--resolution", type=int, default=88)
+    p.add_argument("--resolution", type=int, default=hyper.resolution)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_voxelize)
 
     p = sub.add_parser("hollowdist", help="vertex-bone distance matrix")
     p.add_argument("--rig", required=True)
-    p.add_argument("--resolution", type=int, default=88)
+    p.add_argument("--resolution", type=int, default=hyper.resolution)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hollowdist)
 
     p = sub.add_parser("graph", help="heterogeneous graph summary")
     p.add_argument("--rig", required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--geo-threshold", type=float, default=0.06)
+    p.add_argument("--k", type=int, default=hyper.k)
+    p.add_argument("--geo-threshold", type=float, default=hyper.geo_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="train the network")
     p.add_argument("--data", required=True)
     p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--wd", type=float, default=1e-4)
-    p.add_argument("--lambda-s", type=float, default=0.4)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--distance", choices=["hollow", "euclidean"], default="hollow")
+    p.add_argument("--lr", type=float, default=model.LEARNING_RATE)
+    p.add_argument("--wd", type=float, default=model.WEIGHT_DECAY)
+    p.add_argument("--lambda-s", type=float, default=hyper.lambda_smooth)
+    p.add_argument("--k", type=int, default=hyper.k)
+    p.add_argument("--distance", choices=model.DISTANCE_MODES, default=hyper.distance_mode)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--resolution", type=int, default=88)
-    p.add_argument("--geo-threshold", type=float, default=0.06)
-    p.add_argument("--vertex-local", type=int, default=256)
-    p.add_argument("--bone-local", type=int, default=128)
-    p.add_argument("--global-dim", type=int, default=512)
-    p.add_argument("--final-dims", default="1024,512")
-    p.add_argument("--stages", type=int, default=3)
+    p.add_argument("--resolution", type=int, default=hyper.resolution)
+    p.add_argument("--geo-threshold", type=float, default=hyper.geo_threshold)
+    p.add_argument("--vertex-local", type=int, default=hyper.vertex_local)
+    p.add_argument("--bone-local", type=int, default=hyper.bone_local)
+    # sets both global widths, which are equal by default
+    p.add_argument("--global-dim", type=int, default=hyper.vertex_global)
+    p.add_argument("--final-dims", default=",".join(map(str, hyper.final_dims)))
+    p.add_argument("--stages", type=int, default=hyper.local_stages)
     p.add_argument("--loss-log", default=None)
     p.set_defaults(func=cmd_train)
 
@@ -327,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True)
     p.add_argument("--rig", required=True)
     p.add_argument("--poses", type=int, default=10)
-    p.add_argument("--tau", type=float, default=1e-4)
+    p.add_argument("--tau", type=float, default=skinlab.INFLUENCE_TAU)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", required=True)
     p.set_defaults(func=cmd_eval)

@@ -29,6 +29,13 @@ def edge_layouts(edges: np.ndarray, n: int) -> tuple[SegmentLayout, SegmentLayou
             SegmentLayout(np.concatenate([edges[:, 1], lonely]), n))
 
 
+def pair_layouts(pairs: np.ndarray, n: int) -> tuple[SegmentLayout, SegmentLayout]:
+    """`edge_layouts` of (E, 2) undirected pairs over n nodes in both
+    directions: the pairs, then each pair reversed.  A node's senders keep
+    that order, which `edge_max`'s gradient bytes depend on."""
+    return edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), n)
+
+
 @dataclass
 class HeterGraph:
     """The graph of one rig.  Its arrays are read-only by contract: the
@@ -55,8 +62,7 @@ class HeterGraph:
     @cached_property
     def ring_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
         """Both directions of the one-ring edges, with nothing dropped."""
-        pairs = self.mesh_edges
-        return edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), self.num_vertices)
+        return pair_layouts(self.mesh_edges, self.num_vertices)
 
     @cached_property
     def geo_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
@@ -67,8 +73,7 @@ class HeterGraph:
 
     @cached_property
     def skel_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:
-        pairs = self.skel_edges
-        return edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), self.num_bones)
+        return pair_layouts(self.skel_edges, self.num_bones)
 
     @cached_property
     def topk_layouts(self) -> tuple[SegmentLayout, SegmentLayout]:

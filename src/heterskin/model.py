@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SegmentLayout, Tensor
-from .hgraph import HeterGraph, build_graph, edge_layouts
+from .hgraph import HeterGraph, build_graph, pair_layouts
 from .hollowdist import compute_all, euclidean_all
 from .rigcore import Rig, RigError, WeightRows, merge_rig
 from .voxelize import build_grid, voxelize_mesh
@@ -28,6 +28,11 @@ EDGE_DROPOUT = 0.85  # share of one-ring edges dropped in each training pass
 FINAL_DROPOUT = 0.5  # dropout after each hidden layer of the final MLP, in training
 LEAKY_ALPHA = 0.2  # negative slope of every leaky ReLU
 VAR_SCALE = 0.1  # damping of the variance bones pool from their vertices
+LEARNING_RATE = 1e-4  # Adam step size of `train`
+WEIGHT_DECAY = 1e-4  # Adam's decoupled weight decay in `train`
+
+# the values HyperParams.distance_mode accepts; the first is the default
+DISTANCE_MODES = ("hollow", "euclidean")
 
 
 def check_nonnegative(**values: float) -> None:
@@ -48,7 +53,7 @@ class HyperParams:
     final_dims: tuple[int, ...] = (1024, 512)
     lambda_smooth: float = 0.4  # 0 is the smoothness ablation
     local_stages: int = 3
-    distance_mode: str = "hollow"  # or "euclidean"
+    distance_mode: str = DISTANCE_MODES[0]
     resolution: int = 88
     geo_threshold: float = 0.06
 
@@ -59,7 +64,7 @@ class HyperParams:
         if self.local_stages < 0:
             raise ValueError(f"local_stages must be >= 0, got {self.local_stages}")
         check_nonnegative(lambda_smooth=self.lambda_smooth, geo_threshold=self.geo_threshold)
-        if self.distance_mode not in ("hollow", "euclidean"):
+        if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.resolution < 4:
             raise ValueError(f"resolution must be >= 4, got {self.resolution}")
@@ -172,13 +177,12 @@ def forward(graph: HeterGraph, params: dict[str, Tensor], h: HyperParams,
     features with the draws it takes from ``rng``."""
     if graph.k != h.k:
         raise ValueError(f"graph K={graph.k} does not match hyperparameter K={h.k}")
-    n = graph.num_vertices
 
     # graph-only layouts are cached on the graph; dropped ring edges change
     # every training pass and are shared by its mesh convolutions
     if rng is not None:
         pairs = graph.mesh_edges[rng.random(len(graph.mesh_edges)) >= EDGE_DROPOUT]
-        ring = edge_layouts(np.concatenate([pairs, pairs[:, ::-1]]), n)
+        ring = pair_layouts(pairs, graph.num_vertices)
     else:
         ring = graph.ring_layouts
     geo, skel, topk = graph.geo_layouts, graph.skel_layouts, graph.topk_layouts
@@ -287,7 +291,8 @@ def prepare_sample(rig: Rig, h: HyperParams) -> TrainSample:
 
 
 def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0,
-          lr: float = 1e-4, wd: float = 1e-4) -> tuple[dict[str, Tensor], list[float]]:
+          lr: float = LEARNING_RATE, wd: float = WEIGHT_DECAY
+          ) -> tuple[dict[str, Tensor], list[float]]:
     """One Adam step per rig per epoch; rig order reshuffled each epoch.
     Zero epochs return the initial parameters."""
     if not samples:
@@ -318,10 +323,7 @@ def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0
 
 def predict_from_graph(graph: HeterGraph, params: dict[str, Tensor],
                        h: HyperParams) -> WeightRows:
-    pred = forward(graph, params, h)
-    idx = tuple(graph.topk[i].copy() for i in range(graph.num_vertices))
-    val = tuple(pred.value[i].copy() for i in range(graph.num_vertices))
-    return WeightRows(idx, val, graph.num_bones)
+    return WeightRows.from_arrays(graph.topk, forward(graph, params, h).value, graph.num_bones)
 
 
 def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams) -> WeightRows:
@@ -329,9 +331,7 @@ def predict(rig: Rig, params: dict[str, Tensor], h: HyperParams) -> WeightRows:
     surviving vertex's prediction."""
     merged, mapping = merge_rig(rig)
     rows = predict_from_graph(rig_graph(merged, distance_matrix(merged, h), h), params, h)
-    idx = tuple(rows.indices[mapping[i]] for i in range(rig.mesh.num_vertices))
-    val = tuple(rows.values[mapping[i]] for i in range(rig.mesh.num_vertices))
-    return WeightRows(idx, val, rows.num_bones)
+    return rows.take(mapping)
 
 
 # ---------------------------------------------------------------------------

@@ -229,13 +229,26 @@ class WeightRows:
             val.append(wi)
         return cls(tuple(idx), tuple(val), dense.shape[1])
 
+    @classmethod
+    def from_arrays(cls, indices, values, num_bones) -> "WeightRows":
+        """Row i holds row i of the (N, k) arrays ``indices`` and ``values``,
+        copied: the rows share no memory with the inputs."""
+        return cls(tuple(np.array(indices, dtype=np.int64)),
+                   tuple(np.array(values, dtype=np.float64)), int(num_bones))
+
     def __len__(self) -> int:
         return len(self.indices)
 
+    def take(self, rows) -> "WeightRows":
+        """Row i of the result is row ``rows[i]`` of this one."""
+        return WeightRows(tuple(self.indices[r] for r in rows),
+                          tuple(self.values[r] for r in rows), self.num_bones)
+
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((len(self.indices), self.num_bones))
-        for i, (ji, wi) in enumerate(zip(self.indices, self.values)):
-            out[i, ji] = wi
+        out = np.zeros((len(self), self.num_bones))
+        if len(self):
+            rows = np.repeat(np.arange(len(self)), [len(ji) for ji in self.indices])
+            out[rows, np.concatenate(self.indices)] = np.concatenate(self.values)
         return out
 
     def row_pairs(self, i: int) -> list[tuple[int, float]]:
@@ -289,12 +302,7 @@ def merge_rig(rig: Rig, tol: float = 1e-6) -> tuple[Rig, np.ndarray]:
     mesh, mapping = merge_duplicate_vertices(rig.mesh, tol)
     weights = None
     if rig.weights is not None:
-        first_old = np.unique(mapping, return_index=True)[1]
-        weights = WeightRows(
-            tuple(rig.weights.indices[o] for o in first_old),
-            tuple(rig.weights.values[o] for o in first_old),
-            rig.weights.num_bones,
-        )
+        weights = rig.weights.take(np.unique(mapping, return_index=True)[1])
     return Rig(mesh, rig.skeleton, weights, rig.name), mapping
 
 

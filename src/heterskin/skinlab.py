@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hgraph import topk_bones
 from .rigcore import Rig, Skeleton, WeightRows
 
 INFLUENCE_TAU = 1e-4
@@ -136,8 +137,8 @@ def precision_recall(pred: WeightRows, gt: WeightRows,
     """Micro-averaged over vertices; empty denominators count as perfect."""
     if len(pred) != len(gt) or pred.num_bones != gt.num_bones:
         raise ValueError("prediction and ground truth shapes differ")
-    if tau <= 0:
-        raise ValueError("influence threshold must be > 0")
+    if not (np.isfinite(tau) and tau > 0):
+        raise ValueError(f"influence threshold must be a finite number > 0, got {tau!r}")
     p = pred.to_dense() > tau
     g = gt.to_dense() > tau
     hit, n_pred, n_gt = int((p & g).sum()), int(p.sum()), int(g.sum())
@@ -183,7 +184,7 @@ def topk_coverage(pairs: list[tuple[WeightRows, np.ndarray]],
     infl_hits = np.zeros(k_max)
     infl_total = 0
     for gt, d in pairs:
-        order = np.argsort(d, axis=1, kind="stable")
+        order = topk_bones(d, d.shape[1])
         dense = gt.to_dense()
         sorted_w = np.take_along_axis(dense, order, axis=1)
         totals = sorted_w.sum(axis=1)

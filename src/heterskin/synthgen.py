@@ -210,11 +210,10 @@ def _attempt(config: SynthConfig, rng: np.random.Generator) -> Rig | None:
     trunc = np.maximum(trunc, 0.0)
     mass = trunc.sum(axis=1, keepdims=True)
     trunc = np.where(mass > 1e-12, trunc / np.maximum(mass, 1e-300), 1.0 / support)
-    weights = WeightRows(
-        tuple(np.sort(tk[i]) for i in range(mesh.num_vertices)),
-        tuple(trunc[i][np.argsort(tk[i])] for i in range(mesh.num_vertices)),
-        skeleton.num_bones,
-    )
+    order = np.argsort(tk, axis=1)
+    weights = WeightRows.from_arrays(np.take_along_axis(tk, order, axis=1),
+                                     np.take_along_axis(trunc, order, axis=1),
+                                     skeleton.num_bones)
     return Rig(mesh, skeleton, weights)
 
 

@@ -5,8 +5,8 @@ distance-field search, an all-pairs vertex dedup scan, a central
 finite-difference gradient helper, the two directed-edge builders that
 placed each self-loop differently, the edge convolution with one row per
 edge (as products and as a concat), the merge, vertex-to-bone,
-bone-to-vertex and final-head products over concatenated rows, and the
-whole-array Adam step.  Test
+bone-to-vertex and final-head products over concatenated rows, the
+whole-array Adam step, and the row-by-row dense weight matrix.  Test
 code compares the package against these, never the other way around.
 """
 from __future__ import annotations
@@ -272,3 +272,11 @@ def allocating_adam_step(params, grads, state, lr: float = 1e-4, wd: float = 1e-
         m_hat = m / (1 - beta1 ** t)
         v_hat = v / (1 - beta2 ** t)
         p.value = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def row_loop_to_dense(weights) -> np.ndarray:
+    """The (N, B) dense matrix of `WeightRows`, written one row at a time."""
+    out = np.zeros((len(weights.indices), weights.num_bones))
+    for i, (ji, wi) in enumerate(zip(weights.indices, weights.values)):
+        out[i, ji] = wi
+    return out

@@ -305,7 +305,7 @@ class TestAdam:
     def test_non_finite_gradient_rejected(self):
         p = {"w": param([1.0], name="w")}
         with pytest.raises(AutodiffError):
-            ad.adam_step(p, {"w": np.array([np.nan])}, ad.AdamState())
+            ad.adam_step(p, {"w": np.array([np.nan])}, ad.AdamState(), lr=0.1, wd=0.0)
 
 
 def adam_case(h, seed=0):
@@ -363,12 +363,12 @@ class TestAdamInPlace:
     def test_non_finite_gradient_leaves_parameter_untouched(self):
         p = {"a": param(np.ones(4), "a"), "b": param(np.ones(4), "b")}
         state = ad.AdamState()
-        ad.adam_step(p, {"a": np.ones(4), "b": np.ones(4)}, state, lr=0.1)
+        ad.adam_step(p, {"a": np.ones(4), "b": np.ones(4)}, state, lr=0.1, wd=1e-4)
         b_before, m_before, v_before = (x.copy() for x in (p["b"].value, state.m["b"],
                                                           state.v["b"]))
         with pytest.raises(AutodiffError, match="'b'"):
             ad.adam_step(p, {"a": np.ones(4), "b": np.array([1.0, np.inf, 1.0, 1.0])},
-                         state, lr=0.1)
+                         state, lr=0.1, wd=1e-4)
         for now, then in ((p["b"].value, b_before), (state.m["b"], m_before),
                           (state.v["b"], v_before)):
             assert now.tobytes() == then.tobytes()
@@ -376,7 +376,7 @@ class TestAdamInPlace:
     def test_gradient_shape_mismatch_rejected(self):
         p = {"w": param(np.ones((2, 3)), "w")}
         with pytest.raises(AutodiffError, match="shape"):
-            ad.adam_step(p, {"w": np.ones((3, 2))}, ad.AdamState())
+            ad.adam_step(p, {"w": np.ones((3, 2))}, ad.AdamState(), lr=0.1, wd=0.0)
 
 
 class TestKaiming:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import heterskin
-from heterskin import cli, hollowdist, model, rigcore, synthgen, voxelize
+from heterskin import cli, hollowdist, model, rigcore, skinlab, synthgen, voxelize
 
 
 def run(argv):
@@ -361,6 +362,66 @@ class TestErrors:
                     "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
         assert code == 1
         assert message.format(b=b, bone=entry.get("bone")) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_eval_non_finite_tau_exits_1(self, data_dir, tmp_path, capsys, tau):
+        rig = str(data_dir / "rig_00000.json")
+        b = rigcore.load_rig(rig).skeleton.num_bones
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"num_bones": b, "rows": [
+            [[j, 1.0 / b] for j in range(b)]] * rigcore.load_rig(rig).mesh.num_vertices}))
+        report = tmp_path / "report.json"
+        base = ["eval", "--pred", str(uniform), "--gt", rig, "--rig", rig, "--poses", "1",
+                "--report", str(report)]
+        # the default threshold tells this prediction from the ground truth
+        assert run(base) == 0
+        assert json.loads(report.read_text())["precision"] < 1.0
+        report.unlink()
+        capsys.readouterr()
+        assert run([*base, "--tau", tau]) == 1
+        assert capsys.readouterr().err == (
+            f"error: influence threshold must be a finite number > 0, got {tau}\n")
+        assert not report.exists()
+
+
+class TestDefaults:
+    def test_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        h, c = model.HyperParams(), synthgen.SynthConfig()
+
+        def parse(*argv):
+            return parser.parse_args(list(argv))
+
+        # the one --global-dim flag sets both global widths
+        assert h.vertex_global == h.bone_global
+        synth = parse("synth", "--count", "1", "--out", "o")
+        assert (synth.prop_prob, synth.antenna_prob, synth.resolution) == (
+            c.prop_probability, c.antenna_probability, c.resolution)
+        for command in ("voxelize", "hollowdist"):
+            assert parse(command, "--rig", "r", "--out", "o").resolution == h.resolution
+        graph = parse("graph", "--rig", "r", "--dist", "d", "--out", "o")
+        assert (graph.k, graph.geo_threshold) == (h.k, h.geo_threshold)
+        train = parse("train", "--data", "d", "--epochs", "1", "--out", "o")
+        assert cli._hyper_from_args(train) == h
+        defaults = inspect.signature(model.train).parameters
+        assert (train.lr, train.wd) == (defaults["lr"].default, defaults["wd"].default)
+        parse("predict", "--model", "m", "--rig", "r", "--out", "o")
+        evaluation = parse("eval", "--pred", "p", "--gt", "g", "--rig", "r", "--report", "o")
+        assert evaluation.tau == skinlab.INFLUENCE_TAU
+        parse("deform", "--rig", "r", "--weights", "w", "--pose", "p", "--out", "o")
+        parse("stats", "topk", "--data", "d", "--out", "o")
+
+    def test_distance_choices_are_the_modes_hyperparams_accepts(self, capsys):
+        parser = cli.build_parser()
+        for mode in model.DISTANCE_MODES:
+            args = parser.parse_args(["train", "--data", "d", "--epochs", "1", "--out", "o",
+                                      "--distance", mode])
+            assert cli._hyper_from_args(args).distance_mode == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args(["train", "--data", "d", "--epochs", "1", "--out", "o",
+                               "--distance", "geodesic"])
+        with pytest.raises(ValueError, match="unknown distance mode"):
+            model.HyperParams(distance_mode="geodesic")
 
 
 class TestThreads:

@@ -86,15 +86,9 @@ class TestHyperParams:
         assert np.allclose(pred.value.sum(axis=1), 1.0)
 
 
-def both_ways(pairs):
-    """(2E, 2) directed rows of (E, 2) undirected pairs: the pairs, then
-    each reversed, the order the graph builds its ring and skeleton in."""
-    return np.concatenate([pairs, pairs[:, ::-1]])
-
-
 def skeleton_conv(f, pairs, w):
     """Edge convolution over both directions of undirected bone pairs."""
-    return model.edge_conv(f, *hgraph.edge_layouts(both_ways(pairs), f.value.shape[0]), w)
+    return model.edge_conv(f, *hgraph.pair_layouts(pairs, f.value.shape[0]), w)
 
 
 def topk_pair(topk, num_bones):
@@ -161,7 +155,7 @@ class TestEdgeLinear:
 
     def test_rejects_mismatched_inputs(self):
         n = 4
-        src, dst = hgraph.edge_layouts(both_ways(np.array([[0, 1], [2, 3]])), n)
+        src, dst = hgraph.pair_layouts(np.array([[0, 1], [2, 3]]), n)
         f = Tensor(np.ones((n, 3)))
         with pytest.raises(ad.AutodiffError, match="weight"):
             ad.edge_max(f, src, dst, Tensor(np.ones((5, 2))))
@@ -193,7 +187,7 @@ class TestEdgeMax:
         n = graph.num_vertices
         rng = np.random.default_rng(41)
         keep = rng.random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
-        dropped = hgraph.edge_layouts(both_ways(graph.mesh_edges[keep]), n)
+        dropped = hgraph.pair_layouts(graph.mesh_edges[keep], n)
         for layouts, width in ((graph.ring_layouts, h.vertex_local), (dropped, h.vertex_local),
                                (graph.geo_layouts, h.vertex_local),
                                (graph.skel_layouts, h.bone_local)):
@@ -348,7 +342,7 @@ class TestNeighborEdges:
     def test_pairs_give_the_old_arrays(self, pairs, n):
         # both directions of undirected pairs: the arrays of the old builder
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src, dst = hgraph.edge_layouts(both_ways(pairs), n)
+        src, dst = hgraph.pair_layouts(pairs, n)
         want_src, want_dst = directed_edges(pairs, n)
         assert np.array_equal(src.idx, want_src) and np.array_equal(dst.idx, want_dst)
 
@@ -372,7 +366,7 @@ class TestEdgeLayoutBytes:
                  (graph.skel_layouts, directed_edges(graph.skel_edges, b), h.bone_local)]
         for _ in range(3):
             pairs = graph.mesh_edges[rng.random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT]
-            cases.append((hgraph.edge_layouts(both_ways(pairs), n), directed_edges(pairs, n),
+            cases.append((hgraph.pair_layouts(pairs, n), directed_edges(pairs, n),
                           h.vertex_local))
         for layouts, (src, dst), width in cases:
             count = layouts[0].num
@@ -715,15 +709,15 @@ class TestGraphLayouts:
         assert all(cached.__dict__[name] is lay for name, lay in layouts.items())
 
     @staticmethod
-    def _spy_edge_layouts(monkeypatch) -> list:
-        """Record each (edges, layouts) that `forward` builds."""
+    def _spy_pair_layouts(monkeypatch) -> list:
+        """Record each (pairs, layouts) that `forward` builds."""
         built = []
 
-        def spy(edges, count):
-            built.append((edges, hgraph.edge_layouts(edges, count)))
+        def spy(pairs, count):
+            built.append((pairs, hgraph.pair_layouts(pairs, count)))
             return built[-1][1]
 
-        monkeypatch.setattr(model, "edge_layouts", spy)
+        monkeypatch.setattr(model, "pair_layouts", spy)
         return built
 
     def test_train_mode_rebuilds_dropped_ring(self, monkeypatch):
@@ -731,13 +725,13 @@ class TestGraphLayouts:
         params = model.init_params(h, seed=3)
         graph = micro_sample().graph
         n = graph.num_vertices
-        built = self._spy_edge_layouts(monkeypatch)
+        built = self._spy_pair_layouts(monkeypatch)
         for seed in (1, 2):
             model.forward(graph, params, h, np.random.default_rng(seed))
         assert len(built) == 2
-        for seed, (edges, (src, dst)) in zip((1, 2), built):
+        for seed, (pairs, (src, dst)) in zip((1, 2), built):
             keep = np.random.default_rng(seed).random(len(graph.mesh_edges)) >= model.EDGE_DROPOUT
-            assert np.array_equal(edges, both_ways(graph.mesh_edges[keep]))
+            assert np.array_equal(pairs, graph.mesh_edges[keep])
             want_src, want_dst = directed_edges(graph.mesh_edges[keep], n)
             assert np.array_equal(src.idx, want_src)
             assert np.array_equal(dst.idx, want_dst)
@@ -748,7 +742,7 @@ class TestGraphLayouts:
         h = micro_hyper()
         params = model.init_params(h, seed=3)
         graph = micro_sample().graph
-        built = self._spy_edge_layouts(monkeypatch)
+        built = self._spy_pair_layouts(monkeypatch)
         for _ in range(2):
             model.forward(graph, params, h)
         assert built == []
@@ -764,11 +758,11 @@ class TestGraphLayouts:
         params = model.init_params(h, seed=3)
         graph = dataclasses.replace(micro_sample().graph,
                                     mesh_edges=np.zeros((0, 2), dtype=np.int64))
-        built = self._spy_edge_layouts(monkeypatch)
+        built = self._spy_pair_layouts(monkeypatch)
         pred = model.forward(graph, params, h, np.random.default_rng(1))
         assert np.allclose(pred.value.sum(axis=1), 1.0)
-        [(edges, (src, dst))] = built
-        assert edges.shape == (0, 2)
+        [(pairs, (src, dst))] = built
+        assert pairs.shape == (0, 2)
         everyone = np.arange(graph.num_vertices)
         assert np.array_equal(src.idx, everyone) and np.array_equal(dst.idx, everyone)
 
@@ -959,7 +953,8 @@ class TestCheckpoint:
         pred = model.forward(small_sample.graph, params, h)
         step_loss = model.loss(pred, small_sample.gt_topk, small_sample.graph.topk,
                                small_sample.graph.laplacian, h.lambda_smooth)
-        ad.adam_step(params, ad.backward(step_loss, params), ad.AdamState(), lr=1e-3)
+        ad.adam_step(params, ad.backward(step_loss, params), ad.AdamState(), lr=1e-3,
+                     wd=1e-4)
         assert any(not np.array_equal(before[name], t.value) for name, t in params.items())
 
     def test_truncated_file_rejected(self, tmp_path, tiny_hyper):

@@ -9,7 +9,7 @@ from heterskin import rigcore
 from heterskin.rigcore import Mesh, Rig, RigError, Skeleton, WeightRows
 
 from handbuilt import chain_skeleton
-from oracles import brute_force_dedup
+from oracles import brute_force_dedup, row_loop_to_dense
 
 
 @st.composite
@@ -253,6 +253,41 @@ class TestWeightRows:
         dense = np.array([[0.25, 0.75, 0.0], [0.0, 0.5, 0.5]])
         w = WeightRows.from_dense(dense)
         assert np.array_equal(w.to_dense(), dense)
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [[]],
+        [[], [(2, 1.0)], []],
+        [[(3, 0.25), (0, 0.75)], [], [(1, 0.5), (2, 0.5)], [(0, 1.0)]],
+    ])
+    def test_to_dense_matches_row_loop(self, rows):
+        # from_pairs rejects a row with no entries, so build the rows directly
+        w = WeightRows(tuple(np.array([j for j, _ in r], dtype=np.int64) for r in rows),
+                       tuple(np.array([v for _, v in r], dtype=np.float64) for r in rows), 4)
+        dense = w.to_dense()
+        assert dense.shape == (len(rows), 4) and dense.dtype == np.float64
+        assert dense.tobytes() == row_loop_to_dense(w).tobytes()
+
+    def test_take_repeats_and_reorders_rows(self):
+        w = WeightRows.from_pairs([[(0, 1.0)], [(1, 0.5), (2, 0.5)], [(2, 1.0)]], num_bones=3)
+        picked = w.take(np.array([2, 0, 2, 1]))
+        assert picked.num_bones == 3
+        assert [picked.row_pairs(i) for i in range(4)] == [w.row_pairs(i) for i in (2, 0, 2, 1)]
+        assert w.take([]).to_dense().shape == (0, 3)
+
+    def test_from_arrays_copies_rows(self):
+        rng = np.random.default_rng(6)
+        indices = np.argsort(rng.uniform(size=(5, 4)), axis=1)[:, :3]
+        values = rng.uniform(size=(5, 3))
+        w = WeightRows.from_arrays(indices, values, 4)
+        assert len(w) == 5 and w.num_bones == 4
+        for i in range(5):
+            assert w.indices[i].dtype == np.int64 and w.values[i].dtype == np.float64
+            assert w.indices[i].tobytes() == indices[i].copy().tobytes()
+            assert w.values[i].tobytes() == values[i].copy().tobytes()
+            assert not np.shares_memory(w.indices[i], indices)
+            assert not np.shares_memory(w.values[i], values)
+        assert len(WeightRows.from_arrays(np.zeros((0, 3), np.int64), np.zeros((0, 3)), 4)) == 0
 
 
 class TestMergeDuplicates:

@@ -291,6 +291,12 @@ class TestPrecisionRecall:
         # a prediction threshold above every weight empties both sets
         assert skinlab.precision_recall(pred, gt, tau=2.0) == (1.0, 1.0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+    def test_threshold_must_be_finite_and_positive(self, tau):
+        w = WeightRows.from_pairs([[(0, 0.5), (1, 0.5)]], num_bones=2)
+        with pytest.raises(ValueError, match="influence threshold must be a finite number > 0"):
+            skinlab.precision_recall(w, w, tau=tau)
+
 
 class TestL1Norm:
     def test_identical_zero(self):

@@ -31,7 +31,7 @@ def _bundled_openblas():
 def _write_weights(weights: rigcore.WeightRows, path) -> None:
     doc = {
         "num_bones": weights.num_bones,
-        "rows": [weights.row_pairs(i) for i in range(len(weights))],
+        "rows": weights.to_pairs(),
     }
     with open(path, "w") as f:
         json.dump(doc, f)

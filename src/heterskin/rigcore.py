@@ -251,8 +251,10 @@ class WeightRows:
             out[rows, np.concatenate(self.indices)] = np.concatenate(self.values)
         return out
 
-    def row_pairs(self, i: int) -> list[tuple[int, float]]:
-        return [(int(j), float(w)) for j, w in zip(self.indices[i], self.values[i])]
+    def to_pairs(self) -> list[list[tuple[int, float]]]:
+        """Every row as (bone, weight) pairs, the form `from_pairs` reads
+        and the weights files and rig bundles hold."""
+        return [list(zip(ji.tolist(), wi.tolist())) for ji, wi in zip(self.indices, self.values)]
 
 
 @dataclass(frozen=True)
@@ -325,7 +327,7 @@ def save_rig(rig: Rig, path) -> None:
         ],
     }
     if rig.weights is not None:
-        doc["weights"] = [rig.weights.row_pairs(i) for i in range(len(rig.weights))]
+        doc["weights"] = rig.weights.to_pairs()
     with open(path, "w") as f:
         json.dump(doc, f)
         f.write("\n")

@@ -29,6 +29,10 @@ class Pose:
         # written so that a NaN axis fails too
         if not np.all(np.abs(norms[active] - 1.0) <= 1e-9):
             raise ValueError("pose axes must be unit length")
+        # a bone at rest still multiplies its axis by zero; a finite length
+        # keeps every product, and so every transform, finite
+        if not np.all(np.isfinite(norms)):
+            raise ValueError("pose axes must have a finite length")
 
     @classmethod
     def identity(cls, num_bones: int) -> "Pose":
@@ -90,17 +94,50 @@ def forward_kinematics(skeleton: Skeleton, pose: Pose) -> np.ndarray:
 
 
 def lbs_deform(vertices: np.ndarray, weights: WeightRows, transforms: np.ndarray) -> np.ndarray:
-    """v' = sum_j w_ij * T_j(v_i); transforms (..., B, 4, 4) give (..., N, 3)."""
-    if weights.num_bones != transforms.shape[-3]:
-        raise ValueError(f"{weights.num_bones} weight bones vs {transforms.shape[-3]} transforms")
+    """v' = sum_j w_ij * T_j(v_i); transforms (..., B, 4, 4) give (..., N, 3).
+
+    Each bone transforms only the vertices it weights, with one product
+    over all poses, into a vertex-major (N, 3P) sum.  A skipped term is
+    a zero weight times a finite point, an exact +-0, and the sum starts
+    at +0.0 and never becomes -0.0, so skipping leaves every byte as the
+    dense sum over all vertices would.
+    """
+    b = weights.num_bones
+    if b != transforms.shape[-3]:
+        raise ValueError(f"{b} weight bones vs {transforms.shape[-3]} transforms")
     if len(weights) != len(vertices):
         raise ValueError("weight row count does not match vertex count")
-    out = np.zeros(transforms.shape[:-3] + vertices.shape)
+    if not np.all(np.isfinite(transforms)):
+        raise ValueError("transforms must be finite")
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertices must be finite")
+    lead, n = transforms.shape[:-3], len(vertices)
+    tf = transforms.reshape(-1, b, 4, 4)
+    cols = 3 * len(tf)
+    # Column 3p + a of rot[j].T, the transposed view the per-pose products
+    # multiplied by, is R_j[p]'s row a, and shift[j, 3p + a] = t_j[p][a].
+    # Zero columns pad the width to a multiple of 8: OpenBLAS's 4-wide
+    # edge kernel rounds unlike the kernels the (N, 3) @ (3, 3) ran on.
+    width = -(-cols // 8) * 8
+    rot = np.zeros((b, width, 3))
+    rot[:, :cols] = tf[..., :3, :3].transpose(1, 0, 2, 3).reshape(b, cols, 3)
+    shift = np.zeros((b, width))
+    shift[:, :cols] = tf[..., :3, 3].transpose(1, 0, 2).reshape(b, cols)
+    out = np.zeros((n, width))
     dense = weights.to_dense()
-    for j in np.flatnonzero(dense.any(axis=0)):
-        r, t = transforms[..., j, :3, :3], transforms[..., j, None, :3, 3]
-        out += dense[:, j, None] * (vertices @ r.swapaxes(-1, -2) + t)
-    return out
+    for j in range(b):
+        rows = np.flatnonzero(dense[:, j])
+        if not len(rows):
+            continue
+        # numpy sends every one-row product to gemv, which rounds unlike
+        # gemm; the per-pose products had one row only on a one-vertex mesh
+        lone = len(rows) == 1 < n
+        moved = (vertices[rows.repeat(2) if lone else rows] @ rot[j].T)[:len(rows)]
+        moved += shift[j]
+        moved *= dense[rows, j, None]
+        out[rows] += moved
+    deformed = out[:, :cols].reshape(n, -1, 3).transpose(1, 0, 2)
+    return np.ascontiguousarray(deformed).reshape(lead + (n, 3))
 
 
 def sample_poses(skeleton: Skeleton, count: int = 10, seed: int = 0,
@@ -163,7 +200,11 @@ def distance_error(rig: Rig, pred: WeightRows, gt: WeightRows,
     # deformed separately, so equal weights give exact zeros
     a = lbs_deform(rig.mesh.vertices, pred, tf)
     b = lbs_deform(rig.mesh.vertices, gt, tf)
-    per_pose = np.linalg.norm(a - b, axis=-1).mean(axis=-1)
+    d = a - b
+    d *= d
+    # np.linalg.norm's sum over the last axis, in its order, without its
+    # reduction over rows of 3
+    per_pose = np.sqrt(d[..., 0] + d[..., 1] + d[..., 2]).mean(axis=-1)
     # summed in pose order; Python 3.12's sum() would compensate
     return float(np.cumsum(per_pose)[-1]) / len(poses)
 

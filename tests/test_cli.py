@@ -345,13 +345,16 @@ class TestErrors:
         ({"angle": None}, "pose entry 1: axis must be 3 numbers and angle a number"),
         ({"axis": [None, 0, 1]}, "pose axes must be unit length"),
         ({"angle": float("nan")}, "pose angles must be finite"),
+        # at rest, only the unit-length rule is waived
+        ({"axis": [float("nan"), 0, 0], "angle": 0}, "pose axes must have a finite length"),
+        ({"axis": [0, 1e200, 0], "angle": 0.0}, "pose axes must have a finite length"),
     ])
     def test_malformed_pose_file(self, data_dir, tmp_path, capsys, update, message):
         rig = rigcore.load_rig(data_dir / "rig_00000.json")
         b = rig.skeleton.num_bones
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps(
-            {"num_bones": b, "rows": [rig.weights.row_pairs(i) for i in range(len(rig.weights))]}))
+            {"num_bones": b, "rows": rig.weights.to_pairs()}))
         entry = {"bone": 1, "axis": [0.0, 0.0, 1.0], "angle": 0.3, **update}
         if entry["bone"] == "past the end":
             entry["bone"] = b + 5

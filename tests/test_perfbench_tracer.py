@@ -1,7 +1,8 @@
 """The benchmark's per-layer tracer (`perfbench/layers.py`) wraps package
 functions by the names the calling code looks up.  Running it here on one
-TINY prepare, training step and predict makes renaming or deleting any
-name it wraps fail the tests, not only a traced benchmark run.  The test
+TINY prepare, training step, predict and evaluation makes renaming,
+deleting or inlining any name it wraps fail the tests, not only a traced
+benchmark run.  The test
 reads `perfbench/` and changes nothing in it."""
 import importlib.util
 import math
@@ -33,7 +34,9 @@ def test_tracer_runs_prepare_train_predict(small_rig, tiny_hyper):
         assert model.forward is not before[model]["forward"]
         sample = model.prepare_sample(small_rig, tiny_hyper)
         params, history = model.train([sample], tiny_hyper, epochs=1)
-        model.predict(small_rig, params, tiny_hyper)
+        weights = model.predict(small_rig, params, tiny_hyper)
+        poses = skinlab.sample_poses(small_rig.skeleton, count=3, seed=0)
+        skinlab.evaluate(small_rig, weights, small_rig.weights, poses)
     finally:
         uninstall()
     assert all(vars(m)[name] is value for m in modules for name, value in before[m].items())
@@ -43,10 +46,12 @@ def test_tracer_runs_prepare_train_predict(small_rig, tiny_hyper):
     for name, calls in (("rigcore.merge", 2), ("voxelize", 2), ("hollowdist.compute_all", 2),
                         ("hgraph", 2), ("hgraph.geodesic", 2), ("model.forward", 2),
                         ("model.loss", 1), ("autodiff.backward", 1), ("autodiff.adam", 1),
-                        ("model.predict_from_graph", 1)):
+                        ("model.predict_from_graph", 1), ("skinlab.evaluate", 1),
+                        ("skinlab.fk", 1), ("skinlab.lbs", 2)):
         assert count[name] == calls, name
     assert count["hollowdist.bfs"] == 2 * small_rig.skeleton.num_bones
     metrics = tracer.layer_metrics(rounds=1, round_s=1.0, rig_s=0.0, checkpoint_bytes=0)
     assert list(metrics) == [name for name, _ in layers.LAYER_METRICS]
     assert all(math.isfinite(v) and v >= 0 for v in metrics.values())
     assert metrics["autodiff.tape_nodes"] > 0 and metrics["autodiff.matmul.calls"] > 0
+    assert metrics["skinlab.poses"] == 3 and metrics["skinlab.lbs_s"] > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterskin import skinlab, synthgen
 from heterskin.rigcore import Rig, WeightRows
@@ -109,6 +111,42 @@ def _reference_precision_recall(pred, gt, tau):
 
 def _stack(poses):
     return Pose(np.stack([p.axes for p in poses]), np.stack([p.angles for p in poses]))
+
+
+@st.composite
+def _lbs_case(draw):
+    """Vertices, weight rows and transforms for `lbs_deform`: sparse rows
+    that list exact zeros and -0.0 weights, -0.0 and 0.0 coordinates, a
+    bone that no vertex weights and one that a single vertex weights, and
+    a single pose, a pose stack or a nested one, possibly a read-only
+    broadcast of one pose."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, b = draw(st.integers(1, 80)), draw(st.integers(1, 6))
+    # 198, 204 and 222 columns reach OpenBLAS's 4-wide edge kernel unpadded
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3), (66,), (68,), (2, 37)]))
+    vertices = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4)
+    vertices[rng.uniform(size=(n, 3)) < 0.1] = -0.0
+    vertices[rng.uniform(size=(n, 3)) < 0.1] = 0.0
+    listed = rng.uniform(size=(n, b)) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+    dense = rng.uniform(size=(n, b)) * (rng.uniform(size=(n, b)) < 0.7)
+    dense[rng.uniform(size=(n, b)) < 0.1] = -0.0
+    if b > 1 and draw(st.booleans()):
+        listed[:, 0] = False  # no vertex weights bone 0
+    if draw(st.booleans()):
+        j = b - 1  # exactly one vertex weights the last bone
+        dense[:, j] = 0.0
+        listed[:, j] = False
+        i = int(rng.integers(n))
+        dense[i, j], listed[i, j] = rng.uniform(0.1, 1.0), True
+    weights = WeightRows(tuple(np.flatnonzero(row) for row in listed),
+                         tuple(d[row] for d, row in zip(dense, listed)), b)
+    one = draw(st.booleans())  # one pose broadcast, read-only, to `lead`
+    transforms = rng.normal(size=((1,) * len(lead) if one else lead) + (b, 4, 4))
+    transforms[..., 3, :] = [0.0, 0.0, 0.0, 1.0]
+    transforms[rng.uniform(size=transforms.shape) < 0.05] = -0.0
+    if one:
+        transforms = np.broadcast_to(transforms, lead + (b, 4, 4))
+    return vertices, weights, transforms
 
 
 def identity_pose(num_bones):
@@ -221,6 +259,62 @@ class TestLBS:
         out = skinlab.lbs_deform(rig.mesh.vertices, w, tf)
         expect = rig.mesh.vertices @ t[:3, :3].T + t[:3, 3]
         assert np.max(np.abs(out - expect)) < 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=_lbs_case())
+    def test_bytes_match_reference(self, case):
+        vertices, weights, transforms = case
+        lead = transforms.shape[:-3]
+        want = np.zeros(lead + vertices.shape)
+        for p in np.ndindex(lead):
+            want[p] = _reference_lbs_deform(vertices, weights, transforms[p])
+        got = skinlab.lbs_deform(vertices, weights, transforms)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        # bytes, so that the sign of every zero is pinned too
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 1, 0, 3), (2, 0, 1, 1), (1, 2, 3, 3)])
+    def test_non_finite_transform_rejected(self, bad, at):
+        rig = tube_rig()
+        w = WeightRows.from_pairs([[(0, 1.0)]] * len(rig.mesh.vertices), num_bones=3)
+        tf = np.tile(np.eye(4), (3, 3, 1, 1))
+        tf[at] = bad
+        with pytest.raises(ValueError, match="transforms must be finite"):
+            skinlab.lbs_deform(rig.mesh.vertices, w, tf)
+        with pytest.raises(ValueError, match="transforms must be finite"):
+            skinlab.lbs_deform(rig.mesh.vertices, w, tf[at[0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vertex_rejected(self, bad):
+        # a vertex that a bone does not weight is skipped, not multiplied by 0
+        rig = tube_rig()
+        vertices = rig.mesh.vertices.copy()
+        vertices[5, 1] = bad
+        w = WeightRows.from_pairs([[(0, 1.0)]] * len(vertices), num_bones=3)
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            skinlab.lbs_deform(vertices, w, np.tile(np.eye(4), (3, 1, 1)))
+
+
+class TestPose:
+    @pytest.mark.parametrize("axis", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                      [0.0, 0.0, -np.inf], [1e200, 0.0, 0.0]])
+    def test_axis_of_length_not_finite_rejected_at_rest(self, axis):
+        axes = np.tile([1.0, 0.0, 0.0], (3, 1))
+        axes[1] = axis
+        with pytest.raises(ValueError, match="pose axes must have a finite length"):
+            Pose(axes, np.zeros(3))
+        with pytest.raises(ValueError, match="pose axes must have a finite length"):
+            Pose(np.stack([np.tile([1.0, 0.0, 0.0], (3, 1)), axes]), np.zeros((2, 3)))
+
+    def test_unit_length_only_for_rotated_bones(self):
+        axes = np.tile([1.0, 0.0, 0.0], (3, 1))
+        axes[1] = [0.0, 3.0, 4.0]
+        pose = Pose(axes, np.array([0.2, 0.0, 0.0]))
+        tf = skinlab.forward_kinematics(chain_skeleton(np.eye(3)), pose)
+        assert np.all(np.isfinite(tf))
+        with pytest.raises(ValueError, match="pose axes must be unit length"):
+            Pose(axes, np.array([0.0, 0.2, 0.0]))
 
 
 class TestSamplePoses:
@@ -358,6 +452,21 @@ class TestDistanceError:
         poses = skinlab.sample_poses(rig.skeleton, count=5, seed=2)
         skinlab.evaluate(rig, rig.weights, rig.weights, poses)
         assert calls == ["forward_kinematics", "lbs_deform", "lbs_deform"]
+
+    def test_norm_sums_like_linalg_norm(self, monkeypatch):
+        rig = self._rig_with_weights()
+        poses = skinlab.sample_poses(rig.skeleton, count=6, seed=4)
+        rng = np.random.default_rng(8)
+        # components of very different sizes, so that the order of the sum shows
+        a, b = (rng.normal(size=(6, rig.mesh.num_vertices, 3))
+                * 10.0 ** rng.integers(-8, 8, size=(6, rig.mesh.num_vertices, 3))
+                for _ in range(2))
+        deformed = iter([a, b])
+        monkeypatch.setattr(skinlab, "lbs_deform", lambda *args: next(deformed))
+        total = 0.0
+        for p in range(6):
+            total += float(np.linalg.norm(a[p] - b[p], axis=1).mean())
+        assert skinlab.distance_error(rig, rig.weights, rig.weights, poses) == total / 6
 
     def test_manual_two_bone_case(self):
         rig = self._rig_with_weights()

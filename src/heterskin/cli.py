@@ -29,66 +29,45 @@ def _bundled_openblas():
 
 
 def _write_weights(weights: rigcore.WeightRows, path) -> None:
-    doc = {
-        "num_bones": weights.num_bones,
-        "rows": weights.to_pairs(),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    rigcore.write_json({"num_bones": weights.num_bones, "rows": weights.to_pairs()}, path)
 
 
 def _read_weights(path) -> rigcore.WeightRows:
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or not {"rows", "num_bones"} <= doc.keys():
-        raise rigcore.RigError(f"{path}: a weights file needs \"rows\" and \"num_bones\"")
+    doc = rigcore.read_json(path, "weights file", dict, {"rows": list, "num_bones": object})
     return rigcore.WeightRows.from_pairs(doc["rows"], doc["num_bones"])
 
 
 def _read_distances(path, rig: rigcore.Rig) -> tuple[np.ndarray, int]:
     """The distance matrix of a merged rig and the grid resolution it was
     computed at, as `cmd_hollowdist` writes them."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or not {"distances", "resolution"} <= doc.keys():
-        raise rigcore.RigError(f'{path}: a distances file needs "distances" and "resolution"')
-    resolution = doc["resolution"]
-    if isinstance(resolution, bool) or not isinstance(resolution, int) or resolution < 4:
-        raise rigcore.RigError(f"{path}: resolution {resolution!r} is not an integer >= 4")
+    doc = rigcore.read_json(path, "distances file", dict, {"distances": object, "resolution": object})
+    resolution = rigcore.check_integer(doc["resolution"], f"{path}: resolution", 4)
     try:
         d = np.asarray(doc["distances"], dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise rigcore.RigError(f"{path}: distances must be a matrix of numbers") from e
     want = (rig.mesh.num_vertices, rig.skeleton.num_bones)
     if d.shape != want:
         raise rigcore.RigError(f"{path}: distances have shape {d.shape}, but the merged rig "
                                f"has {want[0]} vertices and {want[1]} bones")
-    if not np.all(d >= 0):
-        raise rigcore.RigError(f"{path}: distances must be non-negative numbers")
+    rigcore.check_nonnegative(d, f"{path}: distances")
     return d, resolution
 
 
 def _read_pose(path, num_bones: int) -> skinlab.Pose:
     """A list of {"bone", "axis", "angle"} entries; unlisted bones stay at rest."""
-    with open(path) as f:
-        doc = json.load(f)
-    if not isinstance(doc, list):
-        raise rigcore.RigError(f"{path}: a pose file is a list of bone rotations")
+    doc = rigcore.read_json(path, "pose file", list, {})
     pose = skinlab.Pose.identity(num_bones)
     axes, angles = pose.axes.copy(), pose.angles.copy()
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict) or not {"bone", "axis", "angle"} <= entry.keys():
             raise rigcore.RigError(f'{path}: pose entry {i} needs "bone", "axis" and "angle"')
-        bone = entry["bone"]
-        # bool is an int subclass; -1 would silently pose the last bone
-        if isinstance(bone, bool) or not isinstance(bone, int) or not 0 <= bone < num_bones:
-            raise rigcore.RigError(
-                f"{path}: pose entry {i}: bone {bone!r} is not an integer in [0, {num_bones})")
+        # -1 would silently pose the last bone
+        bone = rigcore.check_integer(entry["bone"], f"{path}: pose entry {i}: bone", 0, num_bones)
         try:
             axes[bone] = np.asarray(entry["axis"], dtype=np.float64)
             angles[bone] = float(entry["angle"])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise rigcore.RigError(
                 f"{path}: pose entry {i}: axis must be 3 numbers and angle a number") from e
     return skinlab.Pose(axes, angles)
@@ -144,10 +123,8 @@ def cmd_hollowdist(args) -> int:
     summaries, columns = zip(*[(_field_summary(field), column) for field, column
                                in hollowdist.bone_fields(merged, grid)])
     d = np.stack(columns, axis=1)
-    with open(args.out, "w") as f:
-        json.dump({"resolution": args.resolution, "distances": d.tolist(),
-                   "bone_fields": summaries}, f)
-        f.write("\n")
+    rigcore.write_json({"resolution": args.resolution, "distances": d.tolist(),
+                        "bone_fields": summaries}, args.out)
     print(f"distance matrix {d.shape[0]}x{d.shape[1]} -> {args.out}")
     return 0
 
@@ -170,9 +147,7 @@ def cmd_graph(args) -> int:
         "bone_attr_crc32": checksum(graph.bone_attr),
         "topk_crc32": checksum(graph.topk),
     }
-    with open(args.out, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    rigcore.write_json(doc, args.out)
     print(json.dumps(doc))
     return 0
 
@@ -180,7 +155,8 @@ def cmd_graph(args) -> int:
 def cmd_train(args) -> int:
     if args.epochs < 1:
         raise ValueError(f"--epochs must be at least 1, got {args.epochs}")
-    model.check_nonnegative(lr=args.lr, wd=args.wd)
+    rigcore.check_nonnegative(args.lr, "lr")
+    rigcore.check_nonnegative(args.wd, "wd")
     h = _hyper_from_args(args)
     paths = synthgen.load_manifest(args.data)
     if not paths:
@@ -216,9 +192,7 @@ def cmd_eval(args) -> int:
     poses = skinlab.sample_poses(rig.skeleton, args.poses, args.seed)
     report = skinlab.evaluate(rig, pred, gt_rig.weights, poses, tau=args.tau)
     doc = report.as_dict()
-    with open(args.report, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    rigcore.write_json(doc, args.report)
     print(json.dumps(doc))
     return 0
 

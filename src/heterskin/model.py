@@ -18,7 +18,8 @@ from . import autodiff as ad
 from .autodiff import SegmentLayout, Tensor
 from .hgraph import HeterGraph, build_graph, pair_layouts
 from .hollowdist import compute_all, euclidean_all
-from .rigcore import Rig, RigError, WeightRows, merge_rig
+from .rigcore import (Rig, RigError, WeightRows, check_integer, check_integers, check_nonnegative,
+                      merge_rig)
 from .voxelize import build_grid, voxelize_mesh
 
 KL_EPS = 1e-8  # floor for ground-truth mass inside the KL term
@@ -33,14 +34,6 @@ WEIGHT_DECAY = 1e-4  # Adam's decoupled weight decay in `train`
 
 # the values HyperParams.distance_mode accepts; the first is the default
 DISTANCE_MODES = ("hollow", "euclidean")
-
-
-def check_nonnegative(**values: float) -> None:
-    """Raise `ValueError` naming the first value that is negative or not
-    finite (NaN included)."""
-    for name, value in values.items():
-        if not (np.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -58,12 +51,17 @@ class HyperParams:
     geo_threshold: float = 0.06
 
     def __post_init__(self):
+        for name in ("k", "vertex_local", "vertex_global", "bone_local", "bone_global",
+                     "local_stages", "resolution"):
+            check_integer(getattr(self, name), name)
+        check_integers(self.final_dims, "final_dims entry")
         if min(self.k, self.vertex_local, self.vertex_global, self.bone_local,
                self.bone_global, *self.final_dims) < 1:
             raise ValueError("feature dimensions and K must be >= 1")
         if self.local_stages < 0:
             raise ValueError(f"local_stages must be >= 0, got {self.local_stages}")
-        check_nonnegative(lambda_smooth=self.lambda_smooth, geo_threshold=self.geo_threshold)
+        check_nonnegative(self.lambda_smooth, "lambda_smooth")
+        check_nonnegative(self.geo_threshold, "geo_threshold")
         if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"unknown distance mode {self.distance_mode!r}")
         if self.resolution < 4:
@@ -299,7 +297,8 @@ def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0
         raise ValueError("training requires at least one rig")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
-    check_nonnegative(lr=lr, wd=wd)
+    check_nonnegative(lr, "lr")
+    check_nonnegative(wd, "wd")
     params = init_params(h, seed)
     state = ad.AdamState()
     rng = np.random.default_rng(seed + 1)
@@ -369,8 +368,8 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], HyperParams]:
 
     Raises `RigError` when the magic line is wrong (JSON checkpoints of
     earlier versions included), when the header does not parse or holds
-    invalid `HyperParams` (fields it lacks included, such as the six that
-    earlier headers list and that are now constants), when the parameter
+    invalid `HyperParams` (such as the six fields earlier headers list, now
+    constants) or a shape entry that is not an integer, when the parameter
     names, order or shapes differ from what those hyperparameters define,
     and when the file is shorter or longer than the header says.
     """
@@ -383,6 +382,7 @@ def load_checkpoint(path) -> tuple[dict[str, Tensor], HyperParams]:
             hyper["final_dims"] = tuple(hyper["final_dims"])
             h = HyperParams(**hyper)
             layout = [(name, tuple(shape)) for name, shape in header["params"]]
+            check_integers([n for _, shape in layout for n in shape], "parameter dimension")
         except (ValueError, KeyError, TypeError) as e:
             raise RigError(f"{path}: bad checkpoint header: {e}") from e
         expected = list(_param_shapes(h).items())

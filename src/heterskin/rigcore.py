@@ -7,6 +7,7 @@ repr-precision so save/load round-trips 64-bit values exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.spatial import cKDTree
 
 
 RENORM_TOL = 1e-4  # a weight row summing further from 1 is rejected, a nearer one renormalized
+_JSON_NAMES = {dict: "an object", list: "an array"}  # for `read_json`'s messages
 
 
 class RigError(ValueError):
@@ -28,7 +30,7 @@ def _triples(value, dtype, what: str) -> np.ndarray:
     Raises `RigError` naming ``what`` for any other shape."""
     try:
         a = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise RigError(f"{what} must be an (n, 3) array of numbers: {e}") from e
     if a.shape == (0,):
         a = a.reshape(0, 3)
@@ -37,15 +39,38 @@ def _triples(value, dtype, what: str) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def _first_non_integer(value) -> tuple[int, object] | None:
-    """Flat position and entry of the first entry of ``value`` that is not
-    an integer (a numpy integer is one, a bool is not), or None."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
-        return None
-    for k, x in enumerate(np.asarray(value, dtype=object).reshape(-1)):
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            return k, x
-    return None
+def check_integer(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` as an int, if it is an int or a numpy integer (not a bool,
+    2.0 or "2") in [low, high); otherwise raises `RigError` "{what} {value!r}
+    is not an integer", ending " >= {low}" or " in [{low}, {high})"."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low) or (high is not None and value >= high)):
+        bound = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high})"
+        raise RigError(f"{what} {value!r} is not an integer{bound}")
+    return int(value)
+
+
+def check_integers(values, what: str, width: int = 1) -> None:
+    """`check_integer` on each entry of the array-like ``values``, flat entry k named
+    ``what.format(k // width)``; an integer array or all-int entries pass at once."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind in "iu") or set(map(type, values)) <= {int}:
+        return
+    flat = np.asarray(values, dtype=object).reshape(-1)
+    if not set(map(type, flat)) <= {int}:
+        for k, x in enumerate(flat):
+            check_integer(x, what.format(k // width))
+
+
+def check_nonnegative(value, what: str) -> None:
+    """Raise `RigError` unless ``value``, a number or array-like, is finite and >= 0 throughout."""
+    if isinstance(value, (int, float)) or np.ndim(value) == 0:
+        if not (math.isfinite(value) and value >= 0):
+            raise RigError(f"{what} must be a finite number >= 0, got {value!r}")
+        return
+    a = np.asarray(value, dtype=np.float64)
+    bad = np.argwhere(~(np.isfinite(a) & (a >= 0)))[:1].tolist()
+    if bad:
+        raise RigError(f"{what} must be non-negative numbers; entry {bad[0]} is {a[tuple(bad[0])]}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +81,7 @@ class Mesh:
     def __post_init__(self):
         v = _triples(self.vertices, np.float64, "vertices")
         t = _triples(self.triangles, np.int64, "triangles")
-        bad = _first_non_integer(self.triangles)
-        if bad is not None:
-            raise RigError(f"triangle {bad[0] // 3}: vertex index {bad[1]!r} is not an integer")
+        check_integers(self.triangles, "triangle {}: vertex index", 3)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
         if not np.all(np.isfinite(v)):
@@ -107,10 +130,11 @@ class Skeleton:
         if not finite.all():
             i = int(np.argmin(finite))
             raise RigError(f"joint {i}: position {positions[i].tolist()} is not finite")
-        bad = _first_non_integer(parents)
-        if bad is not None:
-            raise RigError(f"joint {bad[0]}: parent {bad[1]!r} is not an integer")
-        parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+        check_integers(parents, "joint {}: parent")
+        try:
+            parents = np.asarray(parents, dtype=np.int64).reshape(-1)
+        except OverflowError as e:
+            raise RigError("joint parent index out of range") from e
         names = tuple(str(n) for n in names)
         if not (len(names) == len(positions) == len(parents)):
             raise RigError("joint name/position/parent counts differ")
@@ -181,20 +205,19 @@ class WeightRows:
 
     @classmethod
     def from_pairs(cls, rows, num_bones) -> "WeightRows":
-        if (isinstance(num_bones, bool) or not isinstance(num_bones, (int, np.integer))
-                or num_bones < 1):
-            raise RigError(f"num_bones {num_bones!r} is not an integer >= 1")
+        if check_integer(num_bones, "num_bones", 1) >= 2**63:
+            raise RigError(f"num_bones {num_bones} does not fit in 64 bits")
+        if not isinstance(rows, (list, tuple)):
+            raise RigError(f"weight rows must be a list, got {type(rows).__name__}")
         idx, val = [], []
         for i, row in enumerate(rows):
             try:
                 bones = [j for j, _ in row]
-                wi = np.asarray([w for _, w in row], dtype=np.float64)
-            except (TypeError, ValueError) as e:
+                wi = np.fromiter((w for _, w in row), dtype=np.float64)
+            except (TypeError, ValueError, OverflowError) as e:
                 raise RigError(f"weight row {i}: entries must be [bone, weight] pairs") from e
             for j in bones:
-                # bool is an int subclass; 1.5, "1" and true are not bone indices
-                if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-                    raise RigError(f"weight row {i}: bone index {j!r} is not an integer")
+                check_integer(j, f"weight row {i}: bone index")
                 if not 0 <= j < num_bones:
                     raise RigError(f"weight row {i}: bone index out of range [0, {num_bones})")
             ji = np.asarray(bones, dtype=np.int64)
@@ -202,8 +225,7 @@ class WeightRows:
             repeated = js[1:][js[1:] == js[:-1]]
             if repeated.size:
                 raise RigError(f"weight row {i}: bone {repeated[0]} is listed twice")
-            if np.any(wi < 0):
-                raise RigError(f"weight row {i}: negative weight")
+            check_nonnegative(wi, f"weight row {i}: weights")
             s = wi.sum()
             if abs(s - 1.0) > RENORM_TOL:
                 raise RigError(f"weight row {i} sums to {s!r}, deviates from 1 by more than {RENORM_TOL}")
@@ -281,8 +303,7 @@ def merge_duplicate_vertices(mesh: Mesh, tol: float = 1e-6) -> tuple[Mesh, np.nd
     """Merge vertices within tol of each other (transitive closure of the
     pairwise relation).  Returns the merged mesh and the old->new index map.
     Degenerate triangles produced by merging are dropped."""
-    if tol < 0:
-        raise RigError("merge tolerance must be >= 0")
+    check_nonnegative(tol, "merge tolerance")
     n = mesh.num_vertices
     try:
         pairs = cKDTree(mesh.vertices).query_pairs(tol, output_type="ndarray")
@@ -328,20 +349,38 @@ def save_rig(rig: Rig, path) -> None:
     }
     if rig.weights is not None:
         doc["weights"] = rig.weights.to_pairs()
+    write_json(doc, path)
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as one line of JSON and a newline, as every JSON file here is written."""
     with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+        f.write(json.dumps(doc) + "\n")
 
 
-def load_rig(path) -> Rig:
+def read_json(path, what: str, top: type, required: dict, optional=None):
+    """The JSON document at ``path``, a ``what`` such as "weights file".  Raises
+    `RigError` naming the file unless it parses, its top level is a ``top``
+    (dict or list), and each field of ``required`` (and of ``optional``, unless
+    absent or null) is of the type the dict maps it to (`object`: any)."""
     try:
         with open(path) as f:
             doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise RigError(f"{path}: not a valid rig bundle: {e}") from e
-    for key in ("vertices", "triangles", "joints"):
-        if key not in doc:
-            raise RigError(f"{path}: missing field {key!r}")
+    except ValueError as e:  # a syntax error, or bytes that are not text
+        raise RigError(f"{path}: not a valid {what}: {e}") from e
+    if not isinstance(doc, top):
+        raise RigError(f"{path}: a {what} must be {_JSON_NAMES[top]}")
+    if not all(key in doc for key in required):
+        raise RigError(f"{path}: a {what} needs {' and '.join(map(json.dumps, required))}")
+    for key, want in {**required, **(optional or {})}.items():
+        if not isinstance(doc.get(key), want) and (key in required or doc.get(key) is not None):
+            raise RigError(f'{path}: "{key}" must be {_JSON_NAMES[want]}')
+    return doc
+
+
+def load_rig(path) -> Rig:
+    doc = read_json(path, "rig bundle", dict, {"vertices": list, "triangles": list, "joints": list},
+                    {"weights": list})
     mesh = Mesh(doc["vertices"], doc["triangles"])
     joints = doc["joints"]
     for i, j in enumerate(joints):
@@ -350,11 +389,8 @@ def load_rig(path) -> Rig:
         for key in ("name", "position", "parent"):
             if key not in j:
                 raise RigError(f"{path}: joint {i} is missing field {key!r}")
-    skel = Skeleton.build(
-        [j["name"] for j in joints],
-        [j["position"] for j in joints],
-        [j["parent"] for j in joints],
-    )
+    skel = Skeleton.build([j["name"] for j in joints], [j["position"] for j in joints],
+                          [j["parent"] for j in joints])
     weights = None
     if doc.get("weights") is not None:
         weights = WeightRows.from_pairs(doc["weights"], skel.num_bones)

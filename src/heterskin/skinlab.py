@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hgraph import topk_bones
-from .rigcore import Rig, Skeleton, WeightRows
+from .rigcore import Rig, RigError, Skeleton, WeightRows
 
 INFLUENCE_TAU = 1e-4
 POSE_ANGLE_STD = np.deg2rad(25.0)  # radians; spread of a sampled bone rotation
@@ -23,16 +23,16 @@ class Pose:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.angles)):
-            raise ValueError("pose angles must be finite")
+            raise RigError("pose angles must be finite")
         norms = np.linalg.norm(self.axes, axis=-1)
         active = self.angles != 0
         # written so that a NaN axis fails too
         if not np.all(np.abs(norms[active] - 1.0) <= 1e-9):
-            raise ValueError("pose axes must be unit length")
+            raise RigError("pose axes must be unit length")
         # a bone at rest still multiplies its axis by zero; a finite length
         # keeps every product, and so every transform, finite
         if not np.all(np.isfinite(norms)):
-            raise ValueError("pose axes must have a finite length")
+            raise RigError("pose axes must have a finite length")
 
     @classmethod
     def identity(cls, num_bones: int) -> "Pose":

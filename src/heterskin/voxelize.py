@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rigcore import Mesh
+from .rigcore import Mesh, check_integer, write_json
 
 HOLLOW = 0
 MESH = 1
@@ -59,8 +59,7 @@ def build_grid(mesh: Mesh, resolution: int) -> VoxelGrid:
     The cell size is chosen so the largest AABB extent spans resolution-2
     cells and the grid is centered on the AABB per axis.
     """
-    if resolution < 4:
-        raise ValueError("grid resolution must be >= 4")
+    check_integer(resolution, "grid resolution", 4)
     if mesh.num_vertices == 0:
         raise ValueError("cannot build a grid around an empty mesh")
     lo, hi = mesh.aabb()
@@ -171,19 +170,10 @@ def rasterize_bone(start, end, grid: VoxelGrid) -> np.ndarray:
 
 def export_grid(grid: VoxelGrid, path) -> None:
     """Debug export: grid metadata plus run-length-encoded labels."""
-    import json
-
     flat = grid.labels.reshape(-1)
     change = np.flatnonzero(np.diff(flat)) + 1
     starts = np.concatenate([[0], change])
     lengths = np.diff(np.concatenate([starts, [flat.size]]))
     runs = [[int(flat[s]), int(l)] for s, l in zip(starts, lengths)]
-    doc = {
-        "origin": grid.origin.tolist(),
-        "cell_size": grid.cell_size,
-        "resolution": grid.resolution,
-        "rle_labels": runs,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f)
-        f.write("\n")
+    write_json({"origin": grid.origin.tolist(), "cell_size": grid.cell_size,
+                "resolution": grid.resolution, "rle_labels": runs}, path)

@@ -7,6 +7,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heterskin
 from heterskin import cli, hollowdist, model, rigcore, skinlab, synthgen, voxelize
@@ -284,6 +286,27 @@ class TestErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    # a str is the whole file; a dict replaces fields of a valid bundle, ... drops the field
+    @pytest.mark.parametrize("edit, message", [
+        ("5", "{path}: a rig bundle must be an object"),
+        ("null", "{path}: a rig bundle must be an object"),
+        ('{"vertices": [', "{path}: not a valid rig bundle: "),
+        ({"joints": 5}, '{path}: "joints" must be an array'),
+        ({"joints": None}, '{path}: "joints" must be an array'),
+        ({"weights": 5}, '{path}: "weights" must be an array'),
+        ({"vertices": ...}, '{path}: a rig bundle needs "vertices" and "triangles" and "joints"'),
+    ])
+    def test_malformed_bundle_exits_1(self, data_dir, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.json"
+        if isinstance(edit, str):
+            bad.write_text(edit)
+        else:
+            doc = {**json.loads((data_dir / "rig_00000.json").read_text()), **edit}
+            bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        assert run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message.format(path=bad)}")
+
+    # a str is the whole file
     @pytest.mark.parametrize("doc, message", [
         ({"num_bones": 2, "rows": [[[0, 1.0, 0.5]]]}, "entries must be [bone, weight] pairs"),
         ({"num_bones": 2, "rows": [[[0, 0.5], [0, 0.5]]]}, "bone 0 is listed twice"),
@@ -295,19 +318,26 @@ class TestErrors:
         ({"num_bones": 15.5, "rows": [[[0, 1.0]]]}, "num_bones 15.5 is not an integer >= 1"),
         ({"num_bones": True, "rows": [[[0, 1.0]]]}, "num_bones True is not an integer >= 1"),
         ({"num_bones": 0, "rows": []}, "num_bones 0 is not an integer >= 1"),
+        ({"num_bones": 2, "rows": [[[0, float("nan")]]]},
+         "weight row 0: weights must be non-negative numbers; entry [0] is nan"),
+        ({"num_bones": 2, "rows": 5}, '{path}: "rows" must be an array'),
+        ({"num_bones": 2, "rows": None}, '{path}: "rows" must be an array'),
+        ([], "{path}: a weights file must be an object"),
+        ('{"num_bones": 2, "rows": [', "{path}: not a valid weights file: "),
     ])
     def test_malformed_weights_file(self, data_dir, tmp_path, capsys, doc, message):
         weights = tmp_path / "w.json"
-        weights.write_text(json.dumps(doc))
+        weights.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         pose = tmp_path / "pose.json"
         pose.write_text("[]")
         code = run(["deform", "--rig", str(data_dir / "rig_00000.json"), "--weights", str(weights),
                     "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert message.format(path=weights) in capsys.readouterr().err
 
 
-    # each update replaces fields of a valid distances file; ... drops the field
+    # each update replaces fields of a valid distances file; ... drops the field;
+    # a str is the whole file
     @pytest.mark.parametrize("update, message", [
         ({"distances": ...}, 'needs "distances" and "resolution"'),
         ({"resolution": ...}, 'needs "distances" and "resolution"'),
@@ -321,20 +351,27 @@ class TestErrors:
         ({"resolution": True}, "resolution True is not an integer >= 4"),
         ({"resolution": None}, "resolution None is not an integer >= 4"),
         ({"distances": "one negative"}, "distances must be non-negative numbers"),
+        ({"distances": "one infinite"},
+         "{path}: distances must be non-negative numbers; entry [3, 1] is inf"),
+        ("[]", "{path}: a distances file must be an object"),
+        ('{"resolution": 32, "distances": [[1.0', "{path}: not a valid distances file: "),
     ])
     def test_malformed_distances_file(self, data_dir, dist_file, tmp_path, capsys,
                                       update, message):
         good = json.loads(dist_file.read_text())
-        doc = {**good, **update}
-        if doc["distances"] == "one negative":
-            doc["distances"] = good["distances"]
-            doc["distances"][3][1] = -0.5
         bad = tmp_path / "dist.json"
-        bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
+        if isinstance(update, str):
+            bad.write_text(update)
+        else:
+            doc = {**good, **update}
+            if doc["distances"] in ("one negative", "one infinite"):
+                doc["distances"] = good["distances"]
+                doc["distances"][3][1] = -0.5 if update["distances"] == "one negative" else np.inf
+            bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not ...}))
         code = run(["graph", "--rig", str(data_dir / "rig_00000.json"), "--dist", str(bad),
                     "--out", str(tmp_path / "graph.json")])
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert message.format(path=bad) in capsys.readouterr().err
 
     # each update replaces fields of a valid second entry; ... drops the field
     @pytest.mark.parametrize("update, message", [
@@ -348,6 +385,9 @@ class TestErrors:
         # at rest, only the unit-length rule is waived
         ({"axis": [float("nan"), 0, 0], "angle": 0}, "pose axes must have a finite length"),
         ({"axis": [0, 1e200, 0], "angle": 0.0}, "pose axes must have a finite length"),
+        # a str is the whole file
+        ('[{"bone": 0', "{path}: not a valid pose file: "),
+        ('{"bone": 0}', "{path}: a pose file must be an array"),
     ])
     def test_malformed_pose_file(self, data_dir, tmp_path, capsys, update, message):
         rig = rigcore.load_rig(data_dir / "rig_00000.json")
@@ -355,16 +395,19 @@ class TestErrors:
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps(
             {"num_bones": b, "rows": rig.weights.to_pairs()}))
-        entry = {"bone": 1, "axis": [0.0, 0.0, 1.0], "angle": 0.3, **update}
-        if entry["bone"] == "past the end":
-            entry["bone"] = b + 5
-        entry = {k: v for k, v in entry.items() if v is not ...}
-        pose = tmp_path / "pose.json"
-        pose.write_text(json.dumps([{"bone": 0, "axis": [1.0, 0.0, 0.0], "angle": 0.2}, entry]))
+        pose, entry = tmp_path / "pose.json", {}
+        if isinstance(update, str):
+            pose.write_text(update)
+        else:
+            entry = {"bone": 1, "axis": [0.0, 0.0, 1.0], "angle": 0.3, **update}
+            if entry["bone"] == "past the end":
+                entry["bone"] = b + 5
+            entry = {k: v for k, v in entry.items() if v is not ...}
+            pose.write_text(json.dumps([{"bone": 0, "axis": [1.0, 0.0, 0.0], "angle": 0.2}, entry]))
         code = run(["deform", "--rig", str(data_dir / "rig_00000.json"), "--weights", str(weights),
                     "--pose", str(pose), "--out", str(tmp_path / "posed.obj")])
         assert code == 1
-        assert message.format(b=b, bone=entry.get("bone")) in capsys.readouterr().err
+        assert message.format(b=b, bone=entry.get("bone"), path=pose) in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", ["nan", "inf"])
     def test_eval_non_finite_tau_exits_1(self, data_dir, tmp_path, capsys, tau):
@@ -385,6 +428,74 @@ class TestErrors:
         assert capsys.readouterr().err == (
             f"error: influence threshold must be a finite number > 0, got {tau}\n")
         assert not report.exists()
+
+
+# any JSON value: NaN, infinities and integers beyond 64 bits included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+# a valid document for each reader: a tetrahedron rigged to a two-joint
+# chain, whose bones are (0, 1) and the helper (1, 1)
+_TETRA = {"name": "t", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+          "triangles": [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]],
+          "joints": [{"name": "a", "position": [0.2, 0.2, 0.1], "parent": -1},
+                     {"name": "b", "position": [0.2, 0.2, 0.4], "parent": 0}],
+          "weights": [[[0, 0.5], [1, 0.5]], [[0, 1.0]], [[0, 1.0]], [[1, 1.0]]]}
+_VALID = {
+    "bundle": _TETRA,
+    "weights": {"num_bones": 2, "rows": _TETRA["weights"]},
+    "distances": {"resolution": 8, "distances": [[0.1, 0.2]] * 4},
+    "pose": [{"bone": 0, "axis": [0.0, 0.0, 1.0], "angle": 0.3},
+             {"bone": 1, "axis": [1.0, 0.0, 0.0], "angle": 0.0}],
+}
+
+
+@st.composite
+def _replaced(draw, doc):
+    """``doc`` with one of its nodes, the whole document included, replaced
+    by any JSON value; each level is descended into three times in four."""
+    if isinstance(doc, (dict, list)) and doc and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        copy = dict(doc) if isinstance(doc, dict) else list(doc)
+        copy[key] = draw(_replaced(doc[key]))
+        return copy
+    return draw(_JSON)
+
+
+class TestOutsideInput:
+    """Any JSON value, whether a whole file or one node of a valid one, is
+    either read or rejected with `RigError`, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("inputs")
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_file_readers_raise_only_rig_error(self, inputs, data):
+        kind = data.draw(st.sampled_from(sorted(_VALID)))
+        path = inputs / f"{kind}.json"
+        path.write_text(json.dumps(data.draw(_replaced(_VALID[kind]))))
+        tetra = inputs / "tetra.json"
+        tetra.write_text(json.dumps(_TETRA))
+        read = {"bundle": rigcore.load_rig, "weights": cli._read_weights,
+                "distances": lambda p: cli._read_distances(p, rigcore.load_rig(tetra)),
+                "pose": lambda p: cli._read_pose(p, 2)}[kind]
+        try:
+            read(path)
+        except rigcore.RigError:
+            pass
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(rows=_replaced(_TETRA["weights"]), num_bones=st.integers(1, 3) | _JSON)
+    def test_weight_rows_raise_only_rig_error(self, rows, num_bones):
+        try:
+            rigcore.WeightRows.from_pairs(rows, num_bones)
+        except rigcore.RigError:
+            pass
 
 
 class TestDefaults:

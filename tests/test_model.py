@@ -995,6 +995,11 @@ class TestCheckpoint:
         (b'"geo_threshold": 0.06', b'"geo_threshold": -0.5', "geo_threshold must be"),
         (b'"lambda_smooth": 0.4', b'"lambda_smooth": NaN', "lambda_smooth must be"),
         (b'"resolution": 32', b'"resolution": 3', "resolution must be >= 4"),
+        # integer-valued floats, which used to fail with a TypeError or load
+        (b'"resolution": 32', b'"resolution": 32.0', "header"),
+        (b'"local_stages": 2', b'"local_stages": 2.0', "header"),
+        (b'["mesh0.ring", [48, 24]]', b'["mesh0.ring", [48.0, 24]]', "header"),
+        (b'"final_dims": [48, 24]', b'"final_dims": [48.0, 24]', "header"),
     ])
     def test_header_disagreeing_with_hyper_rejected(self, tmp_path, tiny_hyper,
                                                     old, new, match):

@@ -108,6 +108,15 @@ class TestMesh:
             Mesh(np.eye(3), triangles)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("vertices, triangles, what", [
+        ([[0, 0, 0], [1, 0, 0], [0, 10 ** 400, 0]], [[0, 1, 2]], "vertices"),
+        (np.eye(3), [[0, 1, 2 ** 70]], "triangles"),
+        (np.eye(3), [[0, 1, float("inf")]], "triangles"),
+    ])
+    def test_number_beyond_float64_or_int64_rejected(self, vertices, triangles, what):
+        with pytest.raises(RigError, match=rf"{what} must be an \(n, 3\) array of numbers"):
+            Mesh(vertices, triangles)
+
     @pytest.mark.parametrize("triangles", [[[0, np.int32(1), 2]], np.array([[0, 1, 2]], np.uint8)])
     def test_numpy_integer_triangle_index_accepted(self, triangles):
         assert Mesh(np.eye(3), triangles).triangles.tolist() == [[0, 1, 2]]
@@ -166,6 +175,10 @@ class TestSkeleton:
             Skeleton.build(["a", "b"], np.zeros((2, 3)), parents)
         assert str(info.value) == message
 
+    def test_parent_beyond_int64_rejected(self):
+        with pytest.raises(RigError, match="joint parent index out of range"):
+            Skeleton.build(["a", "b"], np.zeros((2, 3)), [-1, 2 ** 70])
+
     def test_numpy_integer_parents_accepted(self):
         for parents in ([np.int64(-1), np.int32(0)], np.array([-1, 0], np.int16)):
             assert Skeleton.build(["a", "b"], np.zeros((2, 3)), parents).parents.tolist() == [-1, 0]
@@ -221,9 +234,21 @@ class TestWeightRows:
             WeightRows.from_pairs([[(0, -0.1), (1, 1.1)]], num_bones=2)
 
     @pytest.mark.parametrize("row", [
+        [(0, np.nan)],
+        [(0, np.nan), (1, 1.0)],
+        [(0, np.inf)],
+        [(0, -np.inf), (1, 1.0)],
+    ])
+    def test_non_finite_weight_rejected(self, row):
+        with pytest.raises(RigError, match=r"weight row 1: weights must be non-negative numbers"):
+            WeightRows.from_pairs([[(1, 1.0)], row], num_bones=2)
+
+    @pytest.mark.parametrize("row", [
         [(0, 1.0, 0.0)],
         [(0,)],
         [0.5],
+        [(0, [1.0])],
+        [(0, 10 ** 400)],
     ])
     def test_malformed_pair_rejected(self, row):
         with pytest.raises(RigError, match="pairs"):
@@ -234,6 +259,15 @@ class TestWeightRows:
     def test_non_integer_bone_rejected(self, bone):
         with pytest.raises(RigError, match="weight row 1: bone index .* is not an integer"):
             WeightRows.from_pairs([[(0, 1.0)], [(bone, 1.0)]], num_bones=2)
+
+    @pytest.mark.parametrize("rows", [5, None, 1.5, "rows"])
+    def test_rows_not_a_list_rejected(self, rows):
+        with pytest.raises(RigError, match="weight rows must be a list"):
+            WeightRows.from_pairs(rows, num_bones=2)
+
+    def test_bone_count_beyond_int64_rejected(self):
+        with pytest.raises(RigError, match="num_bones 18446744073709551616 does not fit in 64 bits"):
+            WeightRows.from_pairs([[(2 ** 63, 1.0)]], num_bones=2 ** 64)
 
     @pytest.mark.parametrize("bone", [-1, 2, 2 ** 70])
     def test_bone_out_of_range_rejected(self, bone):

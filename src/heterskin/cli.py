@@ -42,10 +42,7 @@ def _read_distances(path, rig: rigcore.Rig) -> tuple[np.ndarray, int]:
     computed at, as `cmd_hollowdist` writes them."""
     doc = rigcore.read_json(path, "distances file", dict, {"distances": object, "resolution": object})
     resolution = rigcore.check_integer(doc["resolution"], f"{path}: resolution", 4)
-    try:
-        d = np.asarray(doc["distances"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise rigcore.RigError(f"{path}: distances must be a matrix of numbers") from e
+    d = rigcore.check_numbers(doc["distances"], f"{path}: distances must be a matrix of numbers")
     want = (rig.mesh.num_vertices, rig.skeleton.num_bones)
     if d.shape != want:
         raise rigcore.RigError(f"{path}: distances have shape {d.shape}, but the merged rig "
@@ -64,12 +61,11 @@ def _read_pose(path, num_bones: int) -> skinlab.Pose:
             raise rigcore.RigError(f'{path}: pose entry {i} needs "bone", "axis" and "angle"')
         # -1 would silently pose the last bone
         bone = rigcore.check_integer(entry["bone"], f"{path}: pose entry {i}: bone", 0, num_bones)
-        try:
-            axes[bone] = np.asarray(entry["axis"], dtype=np.float64)
-            angles[bone] = float(entry["angle"])
-        except (TypeError, ValueError, OverflowError) as e:
-            raise rigcore.RigError(
-                f"{path}: pose entry {i}: axis must be 3 numbers and angle a number") from e
+        message = f"{path}: pose entry {i}: axis must be 3 numbers and angle a number"
+        axis, angle = (rigcore.check_numbers(entry[key], message) for key in ("axis", "angle"))
+        if axis.shape != (3,) or angle.shape != ():
+            raise rigcore.RigError(message)
+        axes[bone], angles[bone] = axis, angle
     return skinlab.Pose(axes, angles)
 
 
@@ -345,7 +341,7 @@ def main(argv=None) -> int:
         blas[1](args.threads)
     try:
         return args.func(args)
-    except (rigcore.RigError, ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:

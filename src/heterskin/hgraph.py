@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -125,11 +126,7 @@ def skeleton_edges(skeleton: Skeleton) -> np.ndarray:
         by_joint.setdefault(int(a), []).append(j)
         if b != a:
             by_joint.setdefault(int(b), []).append(j)
-    pairs = set()
-    for bones in by_joint.values():
-        for i in range(len(bones)):
-            for j in range(i + 1, len(bones)):
-                pairs.add((bones[i], bones[j]))
+    pairs = {pair for bones in by_joint.values() for pair in combinations(bones, 2)}
     if not pairs:
         return np.zeros((0, 2), dtype=np.int64)
     return np.asarray(sorted(pairs), dtype=np.int64)

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 RENORM_TOL = 1e-4  # a weight row summing further from 1 is rejected, a nearer one renormalized
 _JSON_NAMES = {dict: "an object", list: "an array"}  # for `read_json`'s messages
+_NUMBERS = (int, float, np.integer, np.floating)  # `check_numbers`'s types, bool excepted
 
 
 class RigError(ValueError):
@@ -25,13 +26,32 @@ class RigError(ValueError):
     model checkpoints."""
 
 
-def _triples(value, dtype, what: str) -> np.ndarray:
-    """``value`` as a C-contiguous (n, 3) array; an empty list is (0, 3).
-    Raises `RigError` naming ``what`` for any other shape."""
+def _array(value, dtype, message: str) -> np.ndarray:
+    """``value`` as a ``dtype`` array; raises `RigError` ``message`` where numpy
+    cannot convert it (a ragged list, a string, a value beyond ``dtype``)."""
     try:
-        a = np.asarray(value, dtype=dtype)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as e:
-        raise RigError(f"{what} must be an (n, 3) array of numbers: {e}") from e
+        raise RigError(message) from e
+
+
+def check_numbers(value, message: str) -> np.ndarray:
+    """``value``, a number or a nested list or array of ints, floats, numpy integers
+    and numpy floats, as a float64 array of its shape; for a bool, string, null,
+    object, ragged list or value beyond float64 raises `RigError` ``message``."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(np.float64, copy=False)
+    leaves = _array(value, object, message)
+    if any(t is bool or not issubclass(t, _NUMBERS) for t in set(map(type, leaves.flat))):
+        raise RigError(message)
+    return _array(leaves, np.float64, message)
+
+
+def _triples(value, what: str, dtype=np.float64) -> np.ndarray:
+    """``value`` as a C-contiguous (n, 3) ``dtype`` array, (0, 3) for an empty list;
+    float64 entries must pass `check_numbers`.  Raises `RigError` naming ``what``."""
+    message = f"{what} must be an (n, 3) array of numbers"
+    a = check_numbers(value, message) if dtype == np.float64 else _array(value, dtype, message)
     if a.shape == (0,):
         a = a.reshape(0, 3)
     if a.ndim != 2 or a.shape[1] != 3:
@@ -62,12 +82,14 @@ def check_integers(values, what: str, width: int = 1) -> None:
 
 
 def check_nonnegative(value, what: str) -> None:
-    """Raise `RigError` unless ``value``, a number or array-like, is finite and >= 0 throughout."""
+    """Raise `RigError` unless ``value``, a number or an array of numbers (see
+    `check_numbers`), is finite and >= 0 throughout."""
     if isinstance(value, (int, float)) or np.ndim(value) == 0:
-        if not (math.isfinite(value) and value >= 0):
-            raise RigError(f"{what} must be a finite number >= 0, got {value!r}")
+        message = f"{what} must be a finite number >= 0, got {value!r}"
+        if not (math.isfinite(check_numbers(value, message)) and value >= 0):
+            raise RigError(message)
         return
-    a = np.asarray(value, dtype=np.float64)
+    a = check_numbers(value, f"{what} must be non-negative numbers")
     bad = np.argwhere(~(np.isfinite(a) & (a >= 0)))[:1].tolist()
     if bad:
         raise RigError(f"{what} must be non-negative numbers; entry {bad[0]} is {a[tuple(bad[0])]}")
@@ -79,8 +101,8 @@ class Mesh:
     triangles: np.ndarray  # (M, 3) int64
 
     def __post_init__(self):
-        v = _triples(self.vertices, np.float64, "vertices")
-        t = _triples(self.triangles, np.int64, "triangles")
+        v = _triples(self.vertices, "vertices")
+        t = _triples(self.triangles, "triangles", np.int64)
         check_integers(self.triangles, "triangle {}: vertex index", 3)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
@@ -89,14 +111,12 @@ class Mesh:
         n = len(v)
         if len(t):
             if t.min() < 0 or t.max() >= n:
-                bad = int(np.argmax((t < 0) | (t >= n)).item())
-                raise RigError(
-                    f"triangle index out of range: triangle {bad // 3} references "
-                    f"vertex {t.flat[bad]} of {n}"
-                )
-            if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
-                bad = int(np.argmax((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])))
-                raise RigError(f"degenerate triangle {bad}: repeated vertex index")
+                bad = int(np.argmax((t < 0) | (t >= n)))
+                raise RigError(f"triangle index out of range: triangle {bad // 3} references "
+                               f"vertex {t.flat[bad]} of {n}")
+            repeated = (t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])
+            if repeated.any():
+                raise RigError(f"degenerate triangle {int(np.argmax(repeated))}: repeated vertex index")
 
     @property
     def num_vertices(self) -> int:
@@ -120,29 +140,26 @@ class Skeleton:
     names: tuple[str, ...]
     positions: np.ndarray  # (J, 3) float64
     parents: np.ndarray  # (J,) int64, -1 for the root
-    bones: np.ndarray  # (B, 2) joint index pairs, helpers last
+    bones: np.ndarray = field(init=False)  # (B, 2) joint index pairs, helpers last
     depths: np.ndarray = field(init=False, repr=False, compare=False)  # (J,) root's is 0
 
     @classmethod
     def build(cls, names, positions, parents) -> "Skeleton":
-        positions = _triples(positions, np.float64, "joint positions")
+        positions = _triples(positions, "joint positions")
         finite = np.isfinite(positions).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
             raise RigError(f"joint {i}: position {positions[i].tolist()} is not finite")
         check_integers(parents, "joint {}: parent")
-        try:
-            parents = np.asarray(parents, dtype=np.int64).reshape(-1)
-        except OverflowError as e:
-            raise RigError("joint parent index out of range") from e
+        parents = _array(parents, np.int64, "joint parent index out of range").reshape(-1)
         names = tuple(str(n) for n in names)
         if not (len(names) == len(positions) == len(parents)):
             raise RigError("joint name/position/parent counts differ")
-        bones = add_helper_bones(parents)
-        return cls(names, positions, parents, bones)
+        return cls(names, positions, parents)
 
     def __post_init__(self):
         object.__setattr__(self, "depths", _validate_tree(self.parents))
+        object.__setattr__(self, "bones", add_helper_bones(self.parents))
 
     @property
     def num_joints(self) -> int:
@@ -167,32 +184,24 @@ def _validate_tree(parents: np.ndarray) -> np.ndarray:
         raise RigError(f"skeleton must have exactly one root, found {len(roots)}")
     if parents.max() >= j:
         raise RigError("joint parent index out of range")
-    # walk up from each joint; a cycle never reaches the root within j steps
-    depths = np.zeros(j, dtype=np.int64)
-    for i in range(j):
-        cur, steps = i, 0
-        while parents[cur] >= 0:
-            cur = int(parents[cur])
-            steps += 1
-            if steps > j:
-                raise RigError(f"cyclic parent links at joint {i}")
-        depths[i] = steps
-    return depths
+    # walk up from every joint at once; a walk still going after j steps met a cycle
+    depths, up = np.zeros(j, dtype=np.int64), parents.copy()
+    for _ in range(j):
+        live = up >= 0
+        if not live.any():
+            return depths
+        depths += live
+        up[live] = parents[up[live]]
+    raise RigError(f"cyclic parent links at joint {int(np.argmax(up >= 0))}")
 
 
 def add_helper_bones(parents) -> np.ndarray:
-    """All (parent, child) bones in joint order, then one zero-length
-    (leaf, leaf) helper bone per leaf joint in joint order."""
+    """All (parent, child) bones of a valid tree's ``parents`` in joint order,
+    then one zero-length (leaf, leaf) helper bone per leaf joint in joint order."""
     parents = np.asarray(parents, dtype=np.int64).reshape(-1)
-    _validate_tree(parents)
-    j = len(parents)
-    real = [(int(parents[i]), i) for i in range(j) if parents[i] >= 0]
-    has_child = np.zeros(j, dtype=bool)
-    for i in range(j):
-        if parents[i] >= 0:
-            has_child[parents[i]] = True
-    helpers = [(i, i) for i in range(j) if not has_child[i]]
-    return np.asarray(real + helpers, dtype=np.int64).reshape(-1, 2)
+    child = np.flatnonzero(parents >= 0)
+    leaf = np.setdiff1d(np.arange(len(parents)), parents[child])
+    return np.concatenate([np.stack([parents[child], child], 1), np.stack([leaf, leaf], 1)])
 
 
 @dataclass(frozen=True)
@@ -211,11 +220,14 @@ class WeightRows:
             raise RigError(f"weight rows must be a list, got {type(rows).__name__}")
         idx, val = [], []
         for i, row in enumerate(rows):
+            pairs = f"weight row {i}: entries must be [bone, weight] pairs"
             try:
-                bones = [j for j, _ in row]
-                wi = np.fromiter((w for _, w in row), dtype=np.float64)
-            except (TypeError, ValueError, OverflowError) as e:
-                raise RigError(f"weight row {i}: entries must be [bone, weight] pairs") from e
+                bones, weights = [j for j, _ in row], [w for _, w in row]
+            except (TypeError, ValueError) as e:
+                raise RigError(pairs) from e
+            wi = check_numbers(weights, pairs)
+            if wi.ndim != 1:  # a weight given as a list
+                raise RigError(pairs)
             for j in bones:
                 check_integer(j, f"weight row {i}: bone index")
                 if not 0 <= j < num_bones:
@@ -242,14 +254,9 @@ class WeightRows:
         """Rows of the positive entries of a dense (N, B) matrix, each
         renormalized to sum to 1."""
         dense = np.asarray(dense, dtype=np.float64)
-        idx, val = [], []
-        for row in dense:
-            ji = np.flatnonzero(row > 0)
-            wi = row[ji]
-            wi = wi / wi.sum()
-            idx.append(ji)
-            val.append(wi)
-        return cls(tuple(idx), tuple(val), dense.shape[1])
+        idx = tuple(np.flatnonzero(row > 0) for row in dense)
+        val = tuple(row[ji] / row[ji].sum() for row, ji in zip(dense, idx))
+        return cls(idx, val, dense.shape[1])
 
     @classmethod
     def from_arrays(cls, indices, values, num_bones) -> "WeightRows":

@@ -164,6 +164,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope" in err
 
+    @pytest.mark.parametrize("option", ["--rig", "--out"])
+    def test_directory_path_exits_1(self, data_dir, tmp_path, capsys, option):
+        args = ["voxelize", "--rig", str(data_dir / "rig_00000.json"), "--resolution", "32",
+                "--out", str(tmp_path / "g.json")]
+        args[args.index(option) + 1] = str(tmp_path)
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_malformed_rig_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
@@ -275,6 +284,8 @@ class TestErrors:
     @pytest.mark.parametrize("joint, message", [
         ({"name": "j2", "position": [0, 0, 0]}, "joint 2 is missing field 'parent'"),
         (7, "joint 2 is not an object"),
+        ({"name": "j2", "position": [0, True, 0], "parent": 1},
+         "joint positions must be an (n, 3) array of numbers"),
     ])
     def test_malformed_joint_validation_error(self, data_dir, tmp_path, capsys,
                                               joint, message):
@@ -324,6 +335,9 @@ class TestErrors:
         ({"num_bones": 2, "rows": None}, '{path}: "rows" must be an array'),
         ([], "{path}: a weights file must be an object"),
         ('{"num_bones": 2, "rows": [', "{path}: not a valid weights file: "),
+        ({"num_bones": 2, "rows": [[[0, "0.5"], [1, "0.5"]]]},
+         "weight row 0: entries must be [bone, weight] pairs"),
+        ({"num_bones": 2, "rows": [[[0, True]]]}, "weight row 0: entries must be [bone, weight] pairs"),
     ])
     def test_malformed_weights_file(self, data_dir, tmp_path, capsys, doc, message):
         weights = tmp_path / "w.json"
@@ -355,6 +369,7 @@ class TestErrors:
          "{path}: distances must be non-negative numbers; entry [3, 1] is inf"),
         ("[]", "{path}: a distances file must be an object"),
         ('{"resolution": 32, "distances": [[1.0', "{path}: not a valid distances file: "),
+        ({"distances": True}, "{path}: distances must be a matrix of numbers"),
     ])
     def test_malformed_distances_file(self, data_dir, dist_file, tmp_path, capsys,
                                       update, message):
@@ -380,7 +395,7 @@ class TestErrors:
         ({"bone": 1.0}, "pose entry 1: bone 1.0 is not an integer in [0, {b})"),
         ({"axis": ...}, 'pose entry 1 needs "bone", "axis" and "angle"'),
         ({"angle": None}, "pose entry 1: axis must be 3 numbers and angle a number"),
-        ({"axis": [None, 0, 1]}, "pose axes must be unit length"),
+        ({"axis": [None, 0, 1]}, "pose entry 1: axis must be 3 numbers and angle a number"),
         ({"angle": float("nan")}, "pose angles must be finite"),
         # at rest, only the unit-length rule is waived
         ({"axis": [float("nan"), 0, 0], "angle": 0}, "pose axes must have a finite length"),
@@ -388,6 +403,11 @@ class TestErrors:
         # a str is the whole file
         ('[{"bone": 0', "{path}: not a valid pose file: "),
         ('{"bone": 0}', "{path}: a pose file must be an array"),
+        # axes and angles that used to broadcast or convert
+        ({"axis": 0.5773502691896258}, "pose entry 1: axis must be 3 numbers and angle a number"),
+        ({"axis": ["1", 0, 0]}, "pose entry 1: axis must be 3 numbers and angle a number"),
+        ({"angle": "0.3"}, "pose entry 1: axis must be 3 numbers and angle a number"),
+        ({"angle": True}, "pose entry 1: axis must be 3 numbers and angle a number"),
     ])
     def test_malformed_pose_file(self, data_dir, tmp_path, capsys, update, message):
         rig = rigcore.load_rig(data_dir / "rig_00000.json")
@@ -453,6 +473,21 @@ _VALID = {
 }
 
 
+# the path to every number of each valid document that is read as a float:
+# coordinates, positions, weights, distances, axis components and angles
+_WEIGHT_LEAVES = [(i, p, 1) for i, row in enumerate(_TETRA["weights"]) for p in range(len(row))]
+_NUMBER_LEAVES = {
+    "bundle": [("vertices", i, k) for i in range(4) for k in range(3)]
+              + [("joints", j, "position", k) for j in range(2) for k in range(3)]
+              + [("weights", *leaf) for leaf in _WEIGHT_LEAVES],
+    "weights": [("rows", *leaf) for leaf in _WEIGHT_LEAVES],
+    "distances": [("distances", i, k) for i in range(4) for k in range(2)],
+    "pose": [(e, "axis", k) for e in range(2) for k in range(3)] + [(0, "angle"), (1, "angle")],
+}
+# JSON values that are not numbers, numeric strings such as "0.5" included
+_NOT_NUMBERS = st.none() | st.booleans() | st.text(max_size=3) | st.floats().map(repr)
+
+
 @st.composite
 def _replaced(draw, doc):
     """``doc`` with one of its nodes, the whole document included, replaced
@@ -477,17 +512,35 @@ class TestOutsideInput:
     @given(data=st.data())
     def test_file_readers_raise_only_rig_error(self, inputs, data):
         kind = data.draw(st.sampled_from(sorted(_VALID)))
+        try:
+            self._read(inputs, kind, data.draw(_replaced(_VALID[kind])))
+        except rigcore.RigError:
+            pass
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_non_number_in_place_of_a_number_rejected(self, inputs, data):
+        kind = data.draw(st.sampled_from(sorted(_VALID)))
+        *keys, last = data.draw(st.sampled_from(_NUMBER_LEAVES[kind]))
+        doc = json.loads(json.dumps(_VALID[kind]))
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = data.draw(_NOT_NUMBERS)
+        with pytest.raises(rigcore.RigError):
+            self._read(inputs, kind, doc)
+
+    @staticmethod
+    def _read(inputs, kind, doc):
+        """Write ``doc`` as a ``kind`` file and read it as the CLI does."""
         path = inputs / f"{kind}.json"
-        path.write_text(json.dumps(data.draw(_replaced(_VALID[kind]))))
+        path.write_text(json.dumps(doc))
         tetra = inputs / "tetra.json"
         tetra.write_text(json.dumps(_TETRA))
         read = {"bundle": rigcore.load_rig, "weights": cli._read_weights,
                 "distances": lambda p: cli._read_distances(p, rigcore.load_rig(tetra)),
                 "pose": lambda p: cli._read_pose(p, 2)}[kind]
-        try:
-            read(path)
-        except rigcore.RigError:
-            pass
+        return read(path)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(rows=_replaced(_TETRA["weights"]), num_bones=st.integers(1, 3) | _JSON)

@@ -70,6 +70,7 @@ class TestHyperParams:
         ("lambda_smooth", float("inf"), "lambda_smooth must be a finite number >= 0, got inf"),
         ("lambda_smooth", -0.1, "lambda_smooth must be a finite number >= 0, got -0.1"),
         ("resolution", 3, "resolution must be >= 4, got 3"),
+        ("lambda_smooth", True, "lambda_smooth must be a finite number >= 0, got True"),
     ])
     def test_values_that_fail_late_rejected(self, field, value, message):
         with pytest.raises(ValueError) as info:
@@ -1000,6 +1001,7 @@ class TestCheckpoint:
         (b'"local_stages": 2', b'"local_stages": 2.0', "header"),
         (b'["mesh0.ring", [48, 24]]', b'["mesh0.ring", [48.0, 24]]', "header"),
         (b'"final_dims": [48, 24]', b'"final_dims": [48.0, 24]', "header"),
+        (b'"lambda_smooth": 0.4', b'"lambda_smooth": true', "lambda_smooth must be"),
     ])
     def test_header_disagreeing_with_hyper_rejected(self, tmp_path, tiny_hyper,
                                                     old, new, match):

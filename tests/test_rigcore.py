@@ -112,6 +112,8 @@ class TestMesh:
         ([[0, 0, 0], [1, 0, 0], [0, 10 ** 400, 0]], [[0, 1, 2]], "vertices"),
         (np.eye(3), [[0, 1, 2 ** 70]], "triangles"),
         (np.eye(3), [[0, 1, float("inf")]], "triangles"),
+        ([[0, 0, 0], [1, 0, 0], [0, "1", 0]], [[0, 1, 2]], "vertices"),
+        (np.eye(3, dtype=bool), [[0, 1, 2]], "vertices"),
     ])
     def test_number_beyond_float64_or_int64_rejected(self, vertices, triangles, what):
         with pytest.raises(RigError, match=rf"{what} must be an \(n, 3\) array of numbers"):
@@ -249,6 +251,8 @@ class TestWeightRows:
         [0.5],
         [(0, [1.0])],
         [(0, 10 ** 400)],
+        [(0, "0.5"), (1, "0.5")],
+        [(0, True)],
     ])
     def test_malformed_pair_rejected(self, row):
         with pytest.raises(RigError, match="pairs"):

@@ -132,34 +132,40 @@ def skeleton_edges(skeleton: Skeleton) -> np.ndarray:
     return np.asarray(sorted(pairs), dtype=np.int64)
 
 
-def geodesic_neighbors(mesh: Mesh, threshold: float, cap: int) -> list[np.ndarray]:
-    """Vertices within a shortest-path distance threshold along mesh edges,
-    excluding self; at most `cap` nearest are kept."""
+def geodesic_neighbors(mesh: Mesh, adj: sp.csr_matrix, threshold: float,
+                       cap: int) -> list[np.ndarray]:
+    """Vertices within a shortest-path distance threshold along the edges of
+    the mesh's `ring_adjacency` ``adj``, excluding self, in ascending order;
+    at most `cap` are kept, the nearest first and ties by lower index."""
     n = mesh.num_vertices
-    adj = ring_adjacency(mesh)
     rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    adj.data = np.linalg.norm(mesh.vertices[rows] - mesh.vertices[adj.indices], axis=1)
-    out: list[np.ndarray] = []
+    lengths = sp.csr_matrix(
+        (np.linalg.norm(mesh.vertices[rows] - mesh.vertices[adj.indices], axis=1),
+         adj.indices, adj.indptr), shape=adj.shape)
+    pairs = [np.zeros((2, 0), dtype=np.int64)]  # (center, neighbour) rows per chunk
     chunk = 512
     for lo in range(0, n, chunk):
-        idx = np.arange(lo, min(lo + chunk, n))
-        dmat = dijkstra(adj, directed=False, indices=idx, limit=threshold)
-        for row_i, i in enumerate(idx):
-            row = dmat[row_i]
-            cand = np.flatnonzero(np.isfinite(row) & (row <= threshold))
-            cand = cand[cand != i]
-            if len(cand) > cap:
-                order = np.lexsort((cand, row[cand]))[:cap]
-                cand = np.sort(cand[order])
-            out.append(cand.astype(np.int64))
-    return out
+        d = dijkstra(lengths, directed=False, indices=np.arange(lo, min(lo + chunk, n)),
+                     limit=threshold)
+        # flat indices: a 2-D `nonzero` over the chunk is several times slower
+        flat = np.flatnonzero(d <= threshold)
+        row, col = np.divmod(flat[np.isfinite(d.take(flat))], n)
+        other = row + lo != col
+        row, col = row[other], col[other]
+        # rank each row's entries by (distance, index), keep the first cap
+        order = np.lexsort((col, d[row, col], row))
+        row, col = row[order], col[order]
+        keep = np.flatnonzero(np.arange(len(row)) - np.searchsorted(row, row) < cap)
+        keep = keep[np.lexsort((col[keep], row[keep]))]
+        pairs.append(np.stack([row[keep] + lo, col[keep]]))
+    row, col = np.concatenate(pairs, axis=1)
+    ends = np.cumsum(np.bincount(row, minlength=n)).tolist()
+    return [col[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def ring_adjacency(mesh: Mesh) -> sp.csr_matrix:
-    """Symmetric (N, N) CSR matrix of ones over one-ring edges; each row
-    lists its neighbours in ascending order."""
-    n = mesh.num_vertices
-    edges = mesh.edges()
+def ring_adjacency(edges: np.ndarray, n: int) -> sp.csr_matrix:
+    """Symmetric (n, n) CSR matrix of ones over the undirected (E, 2) edges
+    of `Mesh.edges`; each row lists its neighbours in ascending order."""
     ones = np.ones(len(edges))
     return sp.csr_matrix(
         (np.concatenate([ones, ones]),
@@ -169,23 +175,26 @@ def ring_adjacency(mesh: Mesh) -> sp.csr_matrix:
     )
 
 
-def mesh_laplacian(mesh: Mesh) -> sp.csr_matrix:
-    """Combinatorial Laplacian L = Deg - Adj over one-ring edges."""
-    adj = ring_adjacency(mesh)
+def mesh_laplacian(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """Combinatorial Laplacian L = Deg - Adj of a `ring_adjacency`."""
     deg = sp.diags(np.asarray(adj.sum(axis=1)).reshape(-1))
     return (deg - adj).tocsr()
 
 
 def build_graph(mesh: Mesh, skeleton: Skeleton, d: np.ndarray, k: int,
                 geo_threshold: float, eps: float) -> HeterGraph:
+    """The rig's graph; its one edge list and adjacency serve every relation
+    built on the one-ring."""
     tk = topk_bones(d, k)
+    edges = mesh.edges()
+    adj = ring_adjacency(edges, mesh.num_vertices)
     return HeterGraph(
-        mesh_edges=mesh.edges(),
-        geo_neighbors=geodesic_neighbors(mesh, geo_threshold, GEO_CAP),
+        mesh_edges=edges,
+        geo_neighbors=geodesic_neighbors(mesh, adj, geo_threshold, GEO_CAP),
         skel_edges=skeleton_edges(skeleton),
         topk=tk,
         vertex_attr=vertex_attributes(mesh.vertices, d, tk, eps),
         bone_attr=bone_attributes(skeleton),
-        laplacian=mesh_laplacian(mesh),
+        laplacian=mesh_laplacian(adj),
         num_bones=skeleton.num_bones,
     )

@@ -109,12 +109,14 @@ def write_levels(steps: np.ndarray, cells: np.ndarray, parents: np.ndarray, sour
     ends at the first cell whose parent has no step count yet.
     """
     begin, end, total = 0, sources, len(cells)
+    # the bisection reads single entries, as Python ints through memoryviews
+    step_of, parent_of = memoryview(steps), memoryview(parents)
     while begin < total:
         steps[cells[begin:end]] = base
         lo, hi = end, total
         while lo < hi:
             mid = (lo + hi) // 2
-            if steps[parents[mid]] < 0:
+            if step_of[parent_of[mid]] < 0:
                 hi = mid
             else:
                 lo = mid + 1

@@ -127,12 +127,11 @@ class Mesh:
 
     def edges(self) -> np.ndarray:
         """Undirected one-ring edges as a sorted unique (E, 2) array."""
-        t = self.triangles
-        if len(t) == 0:
-            return np.zeros((0, 2), dtype=np.int64)
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
+        t, n = self.triangles, self.num_vertices
+        # each (a, b) pair, a < b, as the one integer a * n + b, in the pairs' order
+        a, b = t.reshape(-1), t[:, [1, 2, 0]].reshape(-1)
+        keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+        return np.stack(np.divmod(keys, n), axis=1)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,10 @@ class Skeleton:
             raise RigError(f"joint {i}: position {positions[i].tolist()} is not finite")
         check_integers(parents, "joint {}: parent")
         parents = _array(parents, np.int64, "joint parent index out of range").reshape(-1)
-        names = tuple(str(n) for n in names)
+        names = tuple(names)
+        for i, name in enumerate(names):
+            if not isinstance(name, str):
+                raise RigError(f"joint {i}: name {name!r} is not a string")
         if not (len(names) == len(positions) == len(parents)):
             raise RigError("joint name/position/parent counts differ")
         return cls(names, positions, parents)
@@ -401,7 +403,10 @@ def load_rig(path) -> Rig:
     weights = None
     if doc.get("weights") is not None:
         weights = WeightRows.from_pairs(doc["weights"], skel.num_bones)
-    return Rig(mesh, skel, weights, str(doc.get("name", "rig")))
+    name = doc.get("name", "rig")
+    if not isinstance(name, str):
+        raise RigError(f'{path}: "name" must be a string')
+    return Rig(mesh, skel, weights, name)
 
 
 def load_obj_mesh(path) -> Mesh:

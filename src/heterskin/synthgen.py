@@ -199,7 +199,7 @@ def _attempt(config: SynthConfig, rng: np.random.Generator) -> Rig | None:
 
     # each row lists its neighbours in ascending order, and the product adds
     # them in that order from 0.0
-    adj = ring_adjacency(mesh)
+    adj = ring_adjacency(mesh.edges(), mesh.num_vertices)
     deg = np.maximum(np.diff(adj.indptr), 1)
     for _ in range(GT_SMOOTHING_PASSES):
         mean = adj @ dense

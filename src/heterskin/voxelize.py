@@ -12,6 +12,7 @@ traversal.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,28 +144,30 @@ def rasterize_bone(start, end, grid: VoxelGrid) -> np.ndarray:
     for p, which in ((start, "start"), (end, "end")):
         if not grid.contains_point(p):
             raise ValueError(f"bone {which} point {p.tolist()} lies outside the voxel grid")
-    cell = grid.cell_of(start)[0].copy()
-    goal = grid.cell_of(end)[0]
-    if np.array_equal(cell, goal):
-        return cell[None, :]
-    d = end - start
-    step = np.where(d > 0, 1, np.where(d < 0, -1, 0))
-    t_max = np.full(3, np.inf)
-    t_delta = np.full(3, np.inf)
+    cell = grid.cell_of(start)[0].tolist()
+    goal = grid.cell_of(end)[0].tolist()
+    if cell == goal:
+        return np.array([cell], dtype=np.int64)
+    # the walk runs on Python floats and ints: numpy's float64 arithmetic
+    # without its per-scalar call cost
+    s, d = start.tolist(), (end - start).tolist()
+    origin, size = grid.origin.tolist(), float(grid.cell_size)
+    step = [(x > 0) - (x < 0) for x in d]
+    t_max, t_delta = [math.inf] * 3, [math.inf] * 3
     for a in range(3):
         if d[a] != 0:
-            boundary = grid.origin[a] + (cell[a] + (step[a] > 0)) * grid.cell_size
-            t_max[a] = (boundary - start[a]) / d[a]
-            t_delta[a] = grid.cell_size / abs(d[a])
-    out = [cell.copy()]
-    limit = 3 * grid.resolution + 3
-    for _ in range(limit):
-        a = int(np.argmin(t_max))
+            boundary = origin[a] + (cell[a] + (step[a] > 0)) * size
+            t_max[a] = (boundary - s[a]) / d[a]
+            t_delta[a] = size / abs(d[a])
+    out = [cell]
+    for _ in range(3 * grid.resolution + 3):
+        a = min(range(3), key=t_max.__getitem__)  # the first minimum, as np.argmin
+        cell = cell.copy()
         cell[a] += step[a]
         t_max[a] += t_delta[a]
-        out.append(cell.copy())
-        if np.array_equal(cell, goal):
-            return np.asarray(out)
+        out.append(cell)
+        if cell == goal:
+            return np.array(out, dtype=np.int64)
     raise RuntimeError("bone rasterization failed to reach the end cell")
 
 

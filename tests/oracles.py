@@ -6,14 +6,18 @@ finite-difference gradient helper, the two directed-edge builders that
 placed each self-loop differently, the edge convolution with one row per
 edge (as products and as a concat), the merge, vertex-to-bone,
 bone-to-vertex and final-head products over concatenated rows, the
-whole-array Adam step, and the row-by-row dense weight matrix.  Test
-code compares the package against these, never the other way around.
+whole-array Adam step, the row-by-row dense weight matrix, the mesh edge
+list by row-wise `np.unique`, the geodesic lists one row at a time and
+the bone traversal on numpy scalars.  Test code compares the package
+against these, never the other way around.
 """
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 import heterskin.autodiff as ad
 
@@ -280,3 +284,69 @@ def row_loop_to_dense(weights) -> np.ndarray:
     for i, (ji, wi) in enumerate(zip(weights.indices, weights.values)):
         out[i, ji] = wi
     return out
+
+
+def row_unique_edges(triangles: np.ndarray) -> np.ndarray:
+    """Undirected one-ring edges of (M, 3) triangles as a sorted unique
+    (E, 2) array, through `np.unique` over the sorted rows."""
+    t = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    if len(t) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    return np.unique(np.sort(e, axis=1), axis=0)
+
+
+def row_loop_geodesic_neighbors(mesh, threshold: float, cap: int) -> list[np.ndarray]:
+    """Geodesic lists one row at a time: `dijkstra` over (512, N) chunks of
+    edge-length rows, a scan of all N entries per row, and for a row over
+    `cap` a sort by (distance, index) whose first `cap` are kept."""
+    n = mesh.num_vertices
+    edges = row_unique_edges(mesh.triangles)
+    ones = np.ones(len(edges))
+    adj = sp.csr_matrix((np.concatenate([ones, ones]),
+                         (np.concatenate([edges[:, 0], edges[:, 1]]),
+                          np.concatenate([edges[:, 1], edges[:, 0]]))), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    adj.data = np.linalg.norm(mesh.vertices[rows] - mesh.vertices[adj.indices], axis=1)
+    out: list[np.ndarray] = []
+    for lo in range(0, n, 512):
+        idx = np.arange(lo, min(lo + 512, n))
+        dmat = dijkstra(adj, directed=False, indices=idx, limit=threshold)
+        for row_i, i in enumerate(idx):
+            row = dmat[row_i]
+            cand = np.flatnonzero(np.isfinite(row) & (row <= threshold))
+            cand = cand[cand != i]
+            if len(cand) > cap:
+                order = np.lexsort((cand, row[cand]))[:cap]
+                cand = np.sort(cand[order])
+            out.append(cand.astype(np.int64))
+    return out
+
+
+def scalar_rasterize_bone(start, end, grid) -> np.ndarray:
+    """Cells a segment crosses, by incremental grid traversal on numpy
+    arrays and scalars (`np.argmin` per cell)."""
+    start = np.asarray(start, dtype=np.float64)
+    end = np.asarray(end, dtype=np.float64)
+    cell = grid.cell_of(start)[0].copy()
+    goal = grid.cell_of(end)[0]
+    if np.array_equal(cell, goal):
+        return cell[None, :]
+    d = end - start
+    step = np.where(d > 0, 1, np.where(d < 0, -1, 0))
+    t_max = np.full(3, np.inf)
+    t_delta = np.full(3, np.inf)
+    for a in range(3):
+        if d[a] != 0:
+            boundary = grid.origin[a] + (cell[a] + (step[a] > 0)) * grid.cell_size
+            t_max[a] = (boundary - start[a]) / d[a]
+            t_delta[a] = grid.cell_size / abs(d[a])
+    out = [cell.copy()]
+    for _ in range(3 * grid.resolution + 3):
+        a = int(np.argmin(t_max))
+        cell[a] += step[a]
+        t_max[a] += t_delta[a]
+        out.append(cell.copy())
+        if np.array_equal(cell, goal):
+            return np.asarray(out)
+    raise RuntimeError("bone rasterization failed to reach the end cell")

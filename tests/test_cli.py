@@ -297,6 +297,20 @@ class TestErrors:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, name, message", [
+        ("rig", None, '{path}: "name" must be a string'),
+        ("rig", 5, '{path}: "name" must be a string'),
+        ("joint", None, "joint 2: name None is not a string"),
+        ("joint", [1, {}], "joint 2: name [1, {}] is not a string"),
+    ])
+    def test_non_string_name_exits_1(self, data_dir, tmp_path, capsys, where, name, message):
+        doc = json.loads((data_dir / "rig_00000.json").read_text())
+        (doc if where == "rig" else doc["joints"][2])["name"] = name
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["voxelize", "--rig", str(bad), "--out", str(tmp_path / "g.json")]) == 1
+        assert capsys.readouterr().err == f"error: {message.replace('{path}', str(bad))}\n"
+
     # a str is the whole file; a dict replaces fields of a valid bundle, ... drops the field
     @pytest.mark.parametrize("edit, message", [
         ("5", "{path}: a rig bundle must be an object"),
@@ -484,6 +498,8 @@ _NUMBER_LEAVES = {
     "distances": [("distances", i, k) for i in range(4) for k in range(2)],
     "pose": [(e, "axis", k) for e in range(2) for k in range(3)] + [(0, "angle"), (1, "angle")],
 }
+# the path to every name of a bundle: the rig's and each joint's
+_NAME_LEAVES = [("name",)] + [("joints", j, "name") for j in range(2)]
 # JSON values that are not numbers, numeric strings such as "0.5" included
 _NOT_NUMBERS = st.none() | st.booleans() | st.text(max_size=3) | st.floats().map(repr)
 
@@ -529,6 +545,18 @@ class TestOutsideInput:
         node[last] = data.draw(_NOT_NUMBERS)
         with pytest.raises(rigcore.RigError):
             self._read(inputs, kind, doc)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(data=st.data())
+    def test_non_string_in_place_of_a_name_rejected(self, inputs, data):
+        *keys, last = data.draw(st.sampled_from(_NAME_LEAVES))
+        doc = json.loads(json.dumps(_TETRA))
+        node = doc
+        for key in keys:
+            node = node[key]
+        node[last] = data.draw(_JSON.filter(lambda v: not isinstance(v, str)))
+        with pytest.raises(rigcore.RigError, match="name"):
+            self._read(inputs, "bundle", doc)
 
     @staticmethod
     def _read(inputs, kind, doc):

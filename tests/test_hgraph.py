@@ -1,10 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heterskin import hgraph
 from heterskin.rigcore import Mesh
 
 from handbuilt import chain_skeleton, tube_rig
+from oracles import row_loop_geodesic_neighbors
+
+
+def _adjacency(mesh):
+    return hgraph.ring_adjacency(mesh.edges(), mesh.num_vertices)
+
+
+def _grid_mesh(rows, cols, spacing):
+    """A flat rows x cols grid of vertices, each square split into two
+    triangles: many shortest paths of equal length."""
+    y, x = np.divmod(np.arange(rows * cols), cols)
+    vertices = np.stack([x * spacing, y * spacing, np.zeros(rows * cols)], axis=1)
+    corner = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).reshape(-1)
+    quads = np.stack([corner, corner + 1, corner + cols + 1, corner + cols], axis=1)
+    return Mesh(vertices, np.concatenate([quads[:, [0, 1, 2]], quads[:, [0, 2, 3]]]))
 
 
 class TestTopkBones:
@@ -123,12 +140,12 @@ class TestGeodesicNeighbors:
 
     def test_short_edge_included(self):
         mesh = self._two_vertex_mesh(0.05)
-        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06, cap=hgraph.GEO_CAP)
+        nbrs = hgraph.geodesic_neighbors(mesh, _adjacency(mesh), threshold=0.06, cap=hgraph.GEO_CAP)
         assert 1 in nbrs[0] and 0 in nbrs[1]
 
     def test_long_edge_excluded(self):
         mesh = self._two_vertex_mesh(0.07)
-        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06, cap=hgraph.GEO_CAP)
+        nbrs = hgraph.geodesic_neighbors(mesh, _adjacency(mesh), threshold=0.06, cap=hgraph.GEO_CAP)
         assert 1 not in nbrs[0] and 0 not in nbrs[1]
 
     def test_matches_dijkstra_oracle(self):
@@ -137,7 +154,7 @@ class TestGeodesicNeighbors:
 
         rig = tube_rig(length=0.3, radius=0.05)
         mesh = rig.mesh
-        nbrs = hgraph.geodesic_neighbors(mesh, threshold=0.06, cap=64)
+        nbrs = hgraph.geodesic_neighbors(mesh, _adjacency(mesh), threshold=0.06, cap=64)
         edges = mesh.edges()
         w = np.linalg.norm(mesh.vertices[edges[:, 0]] - mesh.vertices[edges[:, 1]], axis=1)
         n = len(mesh.vertices)
@@ -152,28 +169,50 @@ class TestGeodesicNeighbors:
 
     def test_cap_keeps_nearest(self):
         rig = tube_rig(length=0.2, radius=0.04)
-        capped = hgraph.geodesic_neighbors(rig.mesh, threshold=0.2, cap=5)
-        full = hgraph.geodesic_neighbors(rig.mesh, threshold=0.2, cap=10**6)
+        capped = hgraph.geodesic_neighbors(rig.mesh, _adjacency(rig.mesh), threshold=0.2, cap=5)
+        full = hgraph.geodesic_neighbors(rig.mesh, _adjacency(rig.mesh), threshold=0.2, cap=10**6)
         for i, (c, f) in enumerate(zip(capped, full)):
             assert len(c) <= 5
             assert set(c) <= set(f)
 
 
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(rows=st.integers(2, 30), cols=st.integers(2, 30), cap=st.sampled_from([1, 5, 32]),
+           threshold=st.sampled_from([0.0, 0.05, 0.1, 0.25, np.inf]))
+    def test_lists_match_row_loop_oracle(self, rows, cols, cap, threshold):
+        """Bytes and dtypes of the row-by-row lists on a grid, whose ties in
+        distance the cap must break by index, over several `dijkstra` chunks
+        from 513 vertices on."""
+        mesh = _grid_mesh(rows, cols, 0.05)
+        got = hgraph.geodesic_neighbors(mesh, _adjacency(mesh), threshold, cap)
+        want = row_loop_geodesic_neighbors(mesh, threshold, cap)
+        assert len(got) == len(want) == mesh.num_vertices
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    def test_lists_match_row_loop_oracle_on_a_rig(self, small_rig):
+        mesh = small_rig.mesh
+        for threshold, cap in ((0.06, hgraph.GEO_CAP), (0.3, 5), (np.inf, 32)):
+            got = hgraph.geodesic_neighbors(mesh, _adjacency(mesh), threshold, cap)
+            want = row_loop_geodesic_neighbors(mesh, threshold, cap)
+            assert [(g.dtype, g.tobytes()) for g in got] == [(w.dtype, w.tobytes()) for w in want]
+
+
 class TestLaplacian:
     def test_single_triangle(self):
         mesh = Mesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]), np.array([[0, 1, 2]]))
-        lap = hgraph.mesh_laplacian(mesh).toarray()
+        lap = hgraph.mesh_laplacian(_adjacency(mesh)).toarray()
         assert np.array_equal(lap, np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]))
 
     def test_constant_in_null_space(self):
         rig = tube_rig()
-        lap = hgraph.mesh_laplacian(rig.mesh)
+        lap = hgraph.mesh_laplacian(_adjacency(rig.mesh))
         u = np.ones(len(rig.mesh.vertices))
         assert np.allclose(lap @ u, 0)
 
     def test_energy_equals_edge_sum(self):
         rig = tube_rig()
-        lap = hgraph.mesh_laplacian(rig.mesh)
+        lap = hgraph.mesh_laplacian(_adjacency(rig.mesh))
         rng = np.random.default_rng(59)
         u = rng.standard_normal(len(rig.mesh.vertices))
         edges = rig.mesh.edges()
@@ -182,7 +221,7 @@ class TestLaplacian:
 
     def test_psd(self):
         rig = tube_rig()
-        lap = hgraph.mesh_laplacian(rig.mesh)
+        lap = hgraph.mesh_laplacian(_adjacency(rig.mesh))
         rng = np.random.default_rng(61)
         for _ in range(20):
             u = rng.standard_normal(len(rig.mesh.vertices))
@@ -194,7 +233,7 @@ class TestRingAdjacency:
         """One product adds each vertex's neighbours in ascending order from
         0.0, the bytes of ``np.add.at`` over per-vertex neighbour lists."""
         mesh = small_rig.mesh
-        adj = hgraph.ring_adjacency(mesh)
+        adj = _adjacency(mesh)
         assert (adj != adj.T).nnz == 0
         neighbors = [[] for _ in range(mesh.num_vertices)]
         for a, b in mesh.edges():

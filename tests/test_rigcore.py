@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from heterskin import rigcore
 from heterskin.rigcore import Mesh, Rig, RigError, Skeleton, WeightRows
 
 from handbuilt import chain_skeleton
-from oracles import brute_force_dedup, row_loop_to_dense
+from oracles import brute_force_dedup, row_loop_to_dense, row_unique_edges
 
 
 @st.composite
@@ -132,8 +133,27 @@ class TestMesh:
         expected = {(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)}
         assert set(map(tuple, edges)) == expected
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_edges_match_row_unique_oracle(self, data):
+        """Bytes and dtype of the row-wise `np.unique`, over triangles that
+        repeat, share edges and list them in either direction."""
+        n = data.draw(st.integers(3, 40))
+        corners = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        triangles = data.draw(st.lists(corners, max_size=60))
+        triangles += data.draw(st.lists(st.sampled_from(triangles), max_size=10)) if triangles else []
+        mesh = Mesh(np.zeros((n, 3)), triangles)
+        edges, want = mesh.edges(), row_unique_edges(mesh.triangles)
+        assert (edges.dtype, edges.shape) == (want.dtype, want.shape)
+        assert edges.tobytes() == want.tobytes()
+
 
 class TestSkeleton:
+    @pytest.mark.parametrize("name", [None, 7, b"b", ["b"]])
+    def test_non_string_name_rejected(self, name):
+        with pytest.raises(RigError, match=rf"joint 1: name {re.escape(repr(name))} is not a string"):
+            Skeleton.build(["a", name], np.zeros((2, 3)), [-1, 0])
+
     def test_chain_bones(self):
         skel = chain_skeleton([[0, 0, 0], [0, 1, 0], [0, 2, 0]])
         # two real bones then one helper at the leaf

@@ -2,11 +2,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heterskin import synthgen, voxelize
 from heterskin.rigcore import Mesh, RigError
+
+from oracles import scalar_rasterize_bone
 
 
 def _tri_box_overlap(centers: np.ndarray, half: float, tri: np.ndarray) -> np.ndarray:
@@ -269,6 +271,15 @@ class TestBatchedEquivalence:
         assert grid.labels is labels
 
 
+def _outcome(rasterize, *args):
+    """dtype, shape and bytes of ``rasterize(*args)``, or its error."""
+    try:
+        cells = rasterize(*args)
+    except RuntimeError as e:
+        return repr(e)
+    return cells.dtype, cells.shape, cells.tobytes()
+
+
 class TestRasterizeBone:
     def _grid(self, r=8, s=1.0):
         labels = np.zeros((r, r, r), dtype=bool)
@@ -306,6 +317,26 @@ class TestRasterizeBone:
             # consecutive cells in the walk touch (26-neighborhood chain)
             diffs = np.abs(np.diff(cells, axis=0))
             assert diffs.max(initial=0) <= 1
+
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(data=st.data(), r=st.sampled_from([4, 32, 88]),
+           origin=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+           size=st.sampled_from([0.01, 0.037, 0.5, 1.0]) | st.floats(1e-3, 1.0))
+    def test_matches_numpy_scalar_oracle(self, data, r, origin, size):
+        """Bytes and dtype of the traversal on numpy scalars, or its error,
+        for segments that are axis-aligned, have a zero component, or start
+        or end on a cell face (a whole number of cells from the origin)."""
+        coordinate = st.integers(0, r).map(float) | st.floats(0, r)
+        start = np.array(data.draw(st.lists(coordinate, min_size=3, max_size=3)))
+        end = np.array(data.draw(st.lists(coordinate, min_size=3, max_size=3)))
+        same = data.draw(st.lists(st.booleans(), min_size=3, max_size=3))
+        end[same] = start[same]
+        grid = voxelize.VoxelGrid(np.array(origin), size, r, np.zeros((r,) * 3, dtype=np.uint8))
+        a, b = grid.origin + start * size, grid.origin + end * size
+        assume(grid.contains_point(a) and grid.contains_point(b))
+        assert _outcome(voxelize.rasterize_bone, a, b, grid) == _outcome(scalar_rasterize_bone,
+                                                                        a, b, grid)
 
 
 class TestGridGeometry:

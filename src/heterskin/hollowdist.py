@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
-from .rigcore import Rig
+from .rigcore import Rig, RigError
 from .voxelize import VoxelGrid, rasterize_bone
 
 
@@ -55,8 +55,8 @@ class GridGraph:
         self.labels = grid.labels  # the grid it was built for
         self.source = n
         # spare room for the super-source's row: a rasterized bone (at most
-        # 3R + 4 cells) or a restart frontier (at most 6); `search` grows it
-        self.indices = np.empty(6 * n + 3 * r + 6, dtype=np.int32)
+        # 3R - 2 cells) or a restart frontier (at most 6); `search` grows it
+        self.indices = np.empty(6 * n + 3 * r - 2, dtype=np.int32)
         cell = np.arange(n, dtype=np.int32).reshape(r, r, r)
         rows = self.indices[:6 * n].reshape(r, r, r, 6)
         np.add(cell[..., None], np.array([r * r, -r * r, r, -r, 1, -1], dtype=np.int32),
@@ -193,8 +193,11 @@ def vertex_distances(field: DistanceField, positions: np.ndarray, grid: VoxelGri
     flat = (cells[:, 0] * r + cells[:, 1]) * r + cells[:, 2]
     steps = field.steps.reshape(-1)[flat]
     if np.any(steps < 0):
+        # a vertex of a triangle lies in a mesh cell, and every search reaches those
         bad = int(np.argmax(steps < 0))
-        raise ValueError(f"vertex {bad} lies in an untraversed cell; field is incomplete")
+        raise RigError(f"vertex {bad} at {np.atleast_2d(positions)[bad].tolist()} lies off the "
+                       "surface, in space the distance search never reaches (a vertex no "
+                       "triangle uses, outside the body, say)")
     pred = field.pred.reshape(-1)[flat]
     out = np.zeros(len(flat))
     has_pred = pred >= 0

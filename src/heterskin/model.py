@@ -252,7 +252,6 @@ class TrainSample:
     name: str
     graph: HeterGraph
     gt_topk: np.ndarray  # (N, K) projected ground truth
-    gt: WeightRows
 
 
 def distance_matrix(rig: Rig, h: HyperParams) -> np.ndarray:
@@ -284,8 +283,7 @@ def prepare_sample(rig: Rig, h: HyperParams) -> TrainSample:
         raise ValueError(f"rig {rig.name!r} has no ground-truth weights")
     rig, _ = merge_rig(rig)
     graph = rig_graph(rig, distance_matrix(rig, h), h)
-    return TrainSample(rig.name, graph, project_ground_truth(rig.weights, graph.topk),
-                       rig.weights)
+    return TrainSample(rig.name, graph, project_ground_truth(rig.weights, graph.topk))
 
 
 def train(samples: list[TrainSample], h: HyperParams, epochs: int, seed: int = 0,

@@ -409,26 +409,6 @@ def load_rig(path) -> Rig:
     return Rig(mesh, skel, weights, name)
 
 
-def load_obj_mesh(path) -> Mesh:
-    """Import a triangulated OBJ (v/f lines only)."""
-    verts, tris = [], []
-    with open(path) as f:
-        for ln, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                if len(parts) < 4:
-                    raise RigError(f"{path}:{ln}: malformed vertex line")
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) for p in parts[1:]]
-                if len(idx) != 3:
-                    raise RigError(f"{path}:{ln}: only triangulated faces are supported")
-                tris.append([i - 1 if i > 0 else len(verts) + i for i in idx])
-    return Mesh(verts, tris)
-
-
 def save_obj_mesh(mesh: Mesh, path) -> None:
     with open(path, "w") as f:
         for v in mesh.vertices:

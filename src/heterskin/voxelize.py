@@ -137,7 +137,9 @@ def voxelize_mesh(mesh: Mesh, resolution: int) -> VoxelGrid:
 def rasterize_bone(start, end, grid: VoxelGrid) -> np.ndarray:
     """Cells crossed by the segment, in traversal order ((S, 3) array).
 
-    A zero-length bone yields the single cell containing its point.
+    A zero-length bone yields the single cell containing its point.  Each
+    axis takes exactly as many steps as it has faces to cross, then leaves
+    the race, so the walk ends in the end cell even through a tie.
     """
     start = np.asarray(start, dtype=np.float64)
     end = np.asarray(end, dtype=np.float64)
@@ -146,29 +148,27 @@ def rasterize_bone(start, end, grid: VoxelGrid) -> np.ndarray:
             raise ValueError(f"bone {which} point {p.tolist()} lies outside the voxel grid")
     cell = grid.cell_of(start)[0].tolist()
     goal = grid.cell_of(end)[0].tolist()
-    if cell == goal:
-        return np.array([cell], dtype=np.int64)
     # the walk runs on Python floats and ints: numpy's float64 arithmetic
     # without its per-scalar call cost
     s, d = start.tolist(), (end - start).tolist()
     origin, size = grid.origin.tolist(), float(grid.cell_size)
     step = [(x > 0) - (x < 0) for x in d]
+    left = [abs(g - c) for g, c in zip(goal, cell)]
     t_max, t_delta = [math.inf] * 3, [math.inf] * 3
     for a in range(3):
-        if d[a] != 0:
+        if left[a]:
             boundary = origin[a] + (cell[a] + (step[a] > 0)) * size
             t_max[a] = (boundary - s[a]) / d[a]
             t_delta[a] = size / abs(d[a])
     out = [cell]
-    for _ in range(3 * grid.resolution + 3):
+    for _ in range(sum(left)):
         a = min(range(3), key=t_max.__getitem__)  # the first minimum, as np.argmin
         cell = cell.copy()
         cell[a] += step[a]
-        t_max[a] += t_delta[a]
+        left[a] -= 1
+        t_max[a] = t_max[a] + t_delta[a] if left[a] else math.inf
         out.append(cell)
-        if cell == goal:
-            return np.array(out, dtype=np.int64)
-    raise RuntimeError("bone rasterization failed to reach the end cell")
+    return np.array(out, dtype=np.int64)
 
 
 def export_grid(grid: VoxelGrid, path) -> None:

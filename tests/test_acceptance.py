@@ -13,7 +13,7 @@ import pytest
 import heterskin.autodiff as ad
 from heterskin import cli, hollowdist, model, skinlab, synthgen, voxelize
 from heterskin.autodiff import Tensor
-from heterskin.rigcore import Rig, WeightRows
+from heterskin.rigcore import Rig, WeightRows, merge_rig
 
 from handbuilt import TINY
 from oracles import finite_difference, max_relative_error, reference_bfs, reshape
@@ -56,6 +56,7 @@ def study():
     he = dataclasses.replace(h, distance_mode="euclidean")
     h0 = dataclasses.replace(h, lambda_smooth=0.0)
     hollow = [model.prepare_sample(r, h) for r in rigs]
+    gts = [merge_rig(r)[0].weights for r in rigs]  # the rows prepare_sample projects
     euclid = [model.prepare_sample(r, he) for r in rigs]
     dmats = [model.distance_matrix(r, h) for r in rigs]
 
@@ -80,13 +81,13 @@ def study():
             trained[key] = preds
         row = {
             "model_l1": np.mean(
-                [skinlab.l1_norm(p, hollow[i].gt) for p, i in zip(trained["hollow"], te)]
+                [skinlab.l1_norm(p, gts[i]) for p, i in zip(trained["hollow"], te)]
             ),
             "base_l1": np.mean(
-                [skinlab.l1_norm(_baseline_weights(dmats[i]), hollow[i].gt) for i in te]
+                [skinlab.l1_norm(_baseline_weights(dmats[i]), gts[i]) for i in te]
             ),
             "euclid_l1": np.mean(
-                [skinlab.l1_norm(p, euclid[i].gt) for p, i in zip(trained["euclid"], te)]
+                [skinlab.l1_norm(p, gts[i]) for p, i in zip(trained["euclid"], te)]
             ),
             "smooth_energy": np.mean(
                 [_laplacian_energy(p, hollow[i].graph) for p, i in zip(trained["hollow"], te)]

@@ -1,4 +1,8 @@
+import contextlib
+import dataclasses
+import functools
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -12,6 +16,8 @@ from hypothesis import strategies as st
 
 import heterskin
 from heterskin import cli, hollowdist, model, rigcore, skinlab, synthgen, voxelize
+
+from handbuilt import TINY
 
 
 def run(argv):
@@ -577,6 +583,90 @@ class TestOutsideInput:
             rigcore.WeightRows.from_pairs(rows, num_bones)
         except rigcore.RigError:
             pass
+
+
+# small closed rigs; the default prop and antenna probabilities give some a
+# detached prop or a bone outside the body
+_SMALL = synthgen.SynthConfig(bones_min=4, bones_max=8, radial_segments=6, rings_per_bone=4,
+                              resolution=16)
+# the axes on which a snap moves every joint: onto a face, an edge or a corner
+_SNAP_AXES = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def _small_rig(seed):
+    return synthgen.gen_character(_SMALL, seed)
+
+
+@st.composite
+def edited_rigs(draw):
+    """A small synthgen rig without its weights, given one edit, and a grid
+    resolution R in [16, 32].  The edits: every joint snapped onto the
+    nearest cell faces, edges or corners of the grid that `predict` builds
+    at R; a joint moved onto its parent; the skeleton cut to its first one
+    to three joints; a triangle duplicated or flipped; a vertex that no
+    triangle uses, at a joint or anywhere in the mesh's box."""
+    rig = _small_rig(draw(st.integers(0, 7)))
+    r = draw(st.integers(16, 32))
+    verts, tris = rig.mesh.vertices, rig.mesh.triangles.copy()
+    pos, parents = rig.skeleton.positions.copy(), rig.skeleton.parents
+    edit = draw(st.sampled_from(["snap", "coincident", "cut", "triangle", "loose"]))
+    if edit == "snap":
+        grid = voxelize.build_grid(rigcore.merge_rig(rig)[0].mesh, r)
+        axes = list(draw(st.sampled_from(_SNAP_AXES)))
+        # a face lies a whole number of cells from the origin, computed as
+        # the walk computes it
+        o, s = grid.origin[axes], grid.cell_size
+        pos[:, axes] = o + np.round((pos[:, axes] - o) / s) * s
+    elif edit == "coincident":
+        j = draw(st.integers(1, len(pos) - 1))
+        pos[j] = pos[parents[j]]
+    elif edit == "cut":
+        m = draw(st.integers(1, 3))
+        pos, parents = pos[:m], parents[:m]
+    elif edit == "triangle":
+        i = draw(st.integers(0, len(tris) - 1))
+        if draw(st.booleans()):
+            tris[i] = tris[i, [2, 1, 0]]
+        else:
+            tris = np.vstack([tris, tris[i]])
+    else:
+        lo, hi = rig.mesh.aabb()
+        at_joint = st.integers(0, len(pos) - 1).map(lambda j: pos[j])
+        in_box = st.tuples(*[st.floats(0, 1)] * 3).map(lambda u: lo + np.array(u) * (hi - lo))
+        verts = np.vstack([verts, draw(at_joint | in_box)])
+    skeleton = rigcore.Skeleton.build(rig.skeleton.names[:len(pos)], pos, parents)
+    return rigcore.Rig(rigcore.Mesh(verts, tris), skeleton, None, edit), r
+
+
+class TestEditedRigs:
+    """Every rig either works or is refused: `predict` on an edited rig
+    exits 0 with a convex weight row per vertex, or 1 with `error: …`,
+    never 2."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("edited")
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(case=edited_rigs())
+    def test_predict_exits_0_or_1(self, workdir, case):
+        rig, r = case
+        h = dataclasses.replace(TINY, resolution=r)
+        ckpt, bundle, out = (workdir / name for name in ("model.ckpt", "rig.json", "w.json"))
+        model.save_checkpoint(model.init_params(h), h, ckpt)
+        rigcore.save_rig(rig, bundle)
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(["predict", "--model", str(ckpt), "--rig", str(bundle), "--out", str(out)])
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert code == 0, err.getvalue()
+            rows = cli._read_weights(out).to_dense()
+            assert rows.shape[0] == rig.mesh.num_vertices
+            assert np.all(rows >= 0) and np.allclose(rows.sum(axis=1), 1.0)
 
 
 class TestDefaults:

@@ -6,7 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order
 
 from heterskin import hollowdist, synthgen, voxelize
-from heterskin.rigcore import Mesh, Rig
+from heterskin.rigcore import Mesh, Rig, RigError
 
 from handbuilt import chain_skeleton, tube_rig
 from oracles import reference_bfs
@@ -305,6 +305,23 @@ class TestComputeAll:
         # leaf has no mirrored twin and stays out of the comparison)
         swap = np.max(np.abs(da[:, [0, 1]] - db[:, [1, 0]]))
         assert swap <= 2 * ga.cell_size + 1e-9
+
+    def test_loose_vertex_in_unreached_space_rejected(self):
+        # a closed body with no prop and no antenna: every search stays
+        # inside it and never reaches the space around it
+        cfg = synthgen.SynthConfig(resolution=16, prop_probability=0.0, antenna_probability=0.0)
+        rig = synthgen.gen_character(cfg, 0)
+        grid = voxelize.voxelize_mesh(rig.mesh, resolution=16)
+        n = rig.mesh.num_vertices
+
+        def with_vertex(p):  # inside the mesh's box, so the grid stays the same
+            return Rig(Mesh(np.vstack([rig.mesh.vertices, p]), rig.mesh.triangles), rig.skeleton)
+
+        d = hollowdist.compute_all(with_vertex(rig.skeleton.positions[1]), grid)
+        assert np.all(np.isfinite(d[n]))
+        corner = rig.mesh.aabb()[0]
+        with pytest.raises(RigError, match=rf"vertex {n} at .* lies off the surface"):
+            hollowdist.compute_all(with_vertex(corner), grid)
 
 
 class TestEuclidean:

@@ -492,13 +492,6 @@ class TestRigIO:
         rigcore.save_rig(rig, path)
         _assert_same_rig(rigcore.load_rig(path), rig)
 
-    def test_obj_import(self, tmp_path):
-        path = tmp_path / "tri.obj"
-        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
-        mesh = rigcore.load_obj_mesh(path)
-        assert len(mesh.vertices) == 3
-        assert mesh.triangles.tolist() == [[0, 1, 2]]
-
 
 class TestMergeRig:
     def test_overflowing_span_rejected(self):

@@ -271,13 +271,19 @@ class TestBatchedEquivalence:
         assert grid.labels is labels
 
 
-def _outcome(rasterize, *args):
-    """dtype, shape and bytes of ``rasterize(*args)``, or its error."""
-    try:
-        cells = rasterize(*args)
-    except RuntimeError as e:
-        return repr(e)
-    return cells.dtype, cells.shape, cells.tobytes()
+def _boxes_meet_segment(cells, a, b, grid, slack=1e-9):
+    """Whether each cell's closed box, grown by ``slack`` cells, meets the
+    closed segment from ``a`` to ``b`` (slab test, in cell units)."""
+    p = (a - grid.origin) / grid.cell_size
+    d = (b - a) / grid.cell_size
+    lo, hi = cells - slack, cells + 1 + slack
+    moving = d != 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0, t1 = (lo - p) / d, (hi - p) / d
+    inside = (lo <= p) & (p <= hi)  # what a still axis needs
+    t_in = np.where(moving, np.minimum(t0, t1), np.where(inside, -np.inf, np.inf))
+    t_out = np.where(moving, np.maximum(t0, t1), np.where(inside, np.inf, -np.inf))
+    return np.maximum(t_in.max(axis=1), 0.0) <= np.minimum(t_out.min(axis=1), 1.0)
 
 
 class TestRasterizeBone:
@@ -324,9 +330,13 @@ class TestRasterizeBone:
            origin=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
            size=st.sampled_from([0.01, 0.037, 0.5, 1.0]) | st.floats(1e-3, 1.0))
     def test_matches_numpy_scalar_oracle(self, data, r, origin, size):
-        """Bytes and dtype of the traversal on numpy scalars, or its error,
-        for segments that are axis-aligned, have a zero component, or start
-        or end on a cell face (a whole number of cells from the origin)."""
+        """Bytes and dtype of the traversal on numpy scalars wherever it
+        reaches the end cell, for segments that are axis-aligned, have a
+        zero component, or start or end on a cell face (a whole number of
+        cells from the origin).  Where a tie sends that traversal away from
+        the end cell, the walk still goes from the start cell to the end
+        cell in single-face steps, each in its axis's direction, through
+        cells whose closed boxes meet the closed segment."""
         coordinate = st.integers(0, r).map(float) | st.floats(0, r)
         start = np.array(data.draw(st.lists(coordinate, min_size=3, max_size=3)))
         end = np.array(data.draw(st.lists(coordinate, min_size=3, max_size=3)))
@@ -335,8 +345,26 @@ class TestRasterizeBone:
         grid = voxelize.VoxelGrid(np.array(origin), size, r, np.zeros((r,) * 3, dtype=np.uint8))
         a, b = grid.origin + start * size, grid.origin + end * size
         assume(grid.contains_point(a) and grid.contains_point(b))
-        assert _outcome(voxelize.rasterize_bone, a, b, grid) == _outcome(scalar_rasterize_bone,
-                                                                        a, b, grid)
+        cells = voxelize.rasterize_bone(a, b, grid)
+        assert _boxes_meet_segment(cells, a, b, grid).all()
+        try:
+            want = scalar_rasterize_bone(a, b, grid)
+        except RuntimeError:
+            assert cells[0].tolist() == grid.cell_of(a)[0].tolist()
+            assert cells[-1].tolist() == grid.cell_of(b)[0].tolist()
+            moves = np.diff(cells, axis=0)
+            assert np.all(np.abs(moves).sum(axis=1) == 1)
+            assert np.all((moves == 0) | (moves == np.sign(b - a)))
+        else:
+            assert (cells.dtype, cells.shape, cells.tobytes()) == (want.dtype, want.shape,
+                                                                   want.tobytes())
+
+    def test_tie_at_the_end_cell_steps_each_axis(self):
+        # y and z both cross a face at t = 1; the first minimum, y, steps
+        # first and the walk still ends in the end cell
+        grid = self._grid(r=4, s=0.01)
+        cells = voxelize.rasterize_bone((0, 0.01, 0), (0, 0, 0.01), grid)
+        assert cells.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
 
 
 class TestGridGeometry:
